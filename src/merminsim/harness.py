@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reference
-from .circuits import Circuit, Setup, ghz_circuit, measurement_transform, run, setup_config
+from .circuits import Setup, ghz_circuit, measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, sample_noisy_shots
 from .pauli import PauliString
@@ -29,7 +30,6 @@ from .sampling import (
     polynomial_estimate,
     polynomial_estimate_expanded,
     round_error,
-    sample_shots,
 )
 from .statevector import ghz_state, probabilities
 
@@ -46,6 +46,15 @@ class InvariantError(RuntimeError):
     """An internal consistency recheck failed while assembling a report."""
 
 
+def _check_shots(shots: int) -> int:
+    """A positive int; bools and floats (even integral ones) are rejected."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    return int(shots)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubits: int
@@ -60,10 +69,11 @@ class ExperimentConfig:
         object.__setattr__(self, "setup", Setup(self.setup))
         if self.qubits not in (3, 4, 5):
             raise ValueError(f"qubits must be 3, 4 or 5, got {self.qubits}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.violation_sigmas < 0:
-            raise ValueError(f"violation_sigmas must be >= 0, got {self.violation_sigmas}")
+        object.__setattr__(self, "shots", _check_shots(self.shots))
+        if not (math.isfinite(self.violation_sigmas) and self.violation_sigmas >= 0):
+            raise ValueError(
+                f"violation_sigmas must be finite and >= 0, got {self.violation_sigmas}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -213,11 +223,7 @@ def _measure_axes(
 ) -> Estimate:
     """Prepare GHZ(n, phase), rotate into the basis of ``axes``, sample, estimate."""
     circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
-    if noise.is_zero:
-        counts = sample_shots(probabilities(run(circuit)), shots, seed)
-    else:
-        counts = sample_noisy_shots(circuit, noise, shots, seed)
-    return expectation_from_counts(counts)
+    return expectation_from_counts(sample_noisy_shots(circuit, noise, shots, seed))
 
 
 def _recheck_bounds(cfg_n: int, phase: float, poly: MerminPolynomial) -> None:
@@ -238,6 +244,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     owns a seed derived from (config seed, setup, class), so the report is
     byte-identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sc = setup_config(cfg.qubits, cfg.setup)
     _recheck_bounds(cfg.qubits, sc.ghz_phase, sc.polynomial)
     classes = collapse(sc.polynomial)
@@ -311,6 +319,7 @@ def run_exchange_test(
     """
     if qubits not in (3, 4, 5):
         raise ValueError(f"qubits must be 3, 4 or 5, got {qubits}")
+    shots = _check_shots(shots)
     phase = math.pi / 2
     axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
     terms = []
@@ -332,7 +341,7 @@ def run_exchange_test(
 
 
 def _render_json(d: dict) -> str:
-    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    return json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_csv(report: ExperimentReport) -> str:

@@ -1,10 +1,11 @@
-"""Stochastic Pauli (quantum-trajectory) noise and noisy shot sampling.
+"""Stochastic Pauli noise: exact noisy outcome distributions and shot sampling.
 
 After every gate, each touched qubit independently suffers a uniformly random
 X, Y, or Z kick with the gate's depolarizing probability (p1 for one-qubit
-gates, p2 for CNOT).  Readout flips each measured bit symmetrically.  One
-trajectory is one shot; averaging trajectories realizes the mixed-state
-channel without ever forming a density matrix.
+gates, p2 for CNOT).  Readout flips each measured bit symmetrically.  Every
+shot is an i.i.d. draw from the mixed state's outcome distribution, so the
+density matrix is evolved once under that channel (operator-sum form) and its
+exact outcome probabilities feed one multinomial draw.
 """
 
 from __future__ import annotations
@@ -13,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
-from .sampling import ShotCounts
-from .statevector import Gate, apply_gate_inplace, qubit_bit
-
-# Trajectories are processed in fixed-size batches so RNG consumption, and
-# therefore every sampled outcome, is a pure function of (circuit, model, seed).
-_BATCH = 1 << 16
+from .circuits import Circuit, run
+from .sampling import ShotCounts, sample_shots
+from .statevector import Gate, apply_gate_inplace, probabilities
 
 
 @dataclass(frozen=True)
@@ -52,83 +49,69 @@ def _gate_noise_prob(gate: Gate, model: NoiseModel) -> float:
     return model.p2 if gate.kind == "CNOT" else model.p1
 
 
-def _kick_rows(amp: np.ndarray, rows: np.ndarray, n: int, q: int, kind: int) -> None:
-    """Apply X (0), Y (1) or Z (2) on qubit q to the selected batch rows."""
-    if rows.size == 0:
-        return
-    bit = qubit_bit(n, q)
-    idx = np.arange(amp.shape[-1])
-    i0 = idx[(idx & bit) == 0]
-    i1 = i0 | bit
-    r = rows[:, None]
-    if kind == 0:
-        low = amp[r, i0]
-        amp[r, i0] = amp[r, i1]
-        amp[r, i1] = low
-    elif kind == 1:
-        low = amp[r, i0]
-        amp[r, i0] = -1j * amp[r, i1]
-        amp[r, i1] = 1j * low
-    else:
-        amp[r, i1] = -amp[r, i1]
+def _conjugate(gate: Gate) -> Gate:
+    """The gate whose matrix is the complex conjugate of ``gate``'s."""
+    if gate.kind == "S":
+        return Gate("SDG", gate.targets)
+    if gate.kind == "SDG":
+        return Gate("S", gate.targets)
+    if gate.kind == "PHASE":
+        return Gate("PHASE", gate.targets, -gate.angle)
+    return gate  # H, X and CNOT are real
 
 
-def run_noisy_trajectory(circuit: Circuit, model: NoiseModel, rng: np.random.Generator) -> str:
-    """Simulate a single shot; returns the outcome bitstring (qubit 0 first)."""
+def _qubit_blocks(a: np.ndarray, n: int, q: int) -> np.ndarray:
+    """View of ``a`` with every axis split as (higher bits, bit q, lower bits)."""
+    shape = (1 << q, 2, 1 << (n - 1 - q))
+    return a.reshape(shape * a.ndim)
+
+
+def _depolarize(rho: np.ndarray, n: int, q: int, p: float) -> None:
+    """rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) on qubit q, in place.
+
+    Blockwise in bit q of row and column: the diagonal blocks mix with weight
+    2p/3 and the off-diagonal blocks shrink by 1 - 4p/3.
+    """
+    b = _qubit_blocks(rho, n, q)
+    d0, d1 = b[:, 0, :, :, 0, :], b[:, 1, :, :, 1, :]
+    mix = (2.0 * p / 3.0) * (d1 - d0)
+    d0 += mix
+    d1 -= mix
+    b[:, 0, :, :, 1, :] *= 1.0 - 4.0 * p / 3.0
+    b[:, 1, :, :, 0, :] *= 1.0 - 4.0 * p / 3.0
+
+
+def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
+    """Exact outcome distribution of ``circuit`` on |0...0> under ``model``.
+
+    rho -> U rho U^dagger applies U to the columns of rho (the rows of
+    rho.T) and conj(U) to its rows, both with the statevector kernel.
+    """
+    if model.is_zero:
+        return probabilities(run(circuit))
     n = circuit.n
-    amp = np.zeros(1 << n, dtype=np.complex128)
-    amp[0] = 1.0
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[0, 0] = 1.0
     for gate in circuit.gates:
-        apply_gate_inplace(amp, n, gate)
+        apply_gate_inplace(rho.T, n, gate)
+        apply_gate_inplace(rho, n, _conjugate(gate))
         p = _gate_noise_prob(gate, model)
-        for q in gate.targets:
-            if rng.random() < p:
-                _kick_rows(amp[None, :], np.array([0]), n, q, int(rng.integers(3)))
-    probs = np.abs(amp) ** 2
-    probs /= probs.sum()
-    outcome = int(rng.choice(probs.size, p=probs))
-    if model.readout_flip > 0.0:
+        if p > 0.0:
+            for q in gate.targets:
+                _depolarize(rho, n, q, p)
+    probs = np.clip(rho.real.diagonal(), 0.0, None)  # rounding can leave -1e-17
+    f = model.readout_flip
+    if f > 0.0:
         for q in range(n):
-            if rng.random() < model.readout_flip:
-                outcome ^= qubit_bit(n, q)
-    return format(outcome, f"0{n}b")
+            b = _qubit_blocks(probs, n, q)
+            p0, p1 = b[:, 0, :].copy(), b[:, 1, :].copy()
+            b[:, 0, :] = (1.0 - f) * p0 + f * p1
+            b[:, 1, :] = f * p0 + (1.0 - f) * p1
+    return probs
 
 
 def sample_noisy_shots(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> ShotCounts:
-    """Histogram of ``shots`` independent noisy trajectories.
-
-    Trajectories are evolved in parallel as a (batch, 2**n) amplitude array;
-    noise kicks are applied row-wise to whichever trajectories drew one.
-    """
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
-    n = circuit.n
-    dim = 1 << n
-    rng = np.random.default_rng(seed)
-    hist = np.zeros(dim, dtype=np.int64)
-    remaining = shots
-    while remaining > 0:
-        b = min(remaining, _BATCH)
-        remaining -= b
-        amp = np.zeros((b, dim), dtype=np.complex128)
-        amp[:, 0] = 1.0
-        for gate in circuit.gates:
-            apply_gate_inplace(amp, n, gate)
-            p = _gate_noise_prob(gate, model)
-            if p > 0.0:
-                for q in gate.targets:
-                    hit = rng.random(b) < p
-                    kinds = rng.integers(0, 3, size=b)
-                    for kind in (0, 1, 2):
-                        _kick_rows(amp, np.nonzero(hit & (kinds == kind))[0], n, q, kind)
-        probs = np.abs(amp) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        draws = rng.random((b, 1))
-        outcomes = (np.cumsum(probs, axis=1) < draws).sum(axis=1)
-        np.clip(outcomes, 0, dim - 1, out=outcomes)
-        if model.readout_flip > 0.0:
-            flips = rng.random((b, n)) < model.readout_flip
-            weights = np.array([qubit_bit(n, q) for q in range(n)])
-            outcomes ^= flips @ weights
-        hist += np.bincount(outcomes, minlength=dim)
-    return ShotCounts.from_vector(n, hist)
+    """Histogram of ``shots`` independent noisy shots: one multinomial draw
+    from the exact outcome distribution."""
+    return sample_shots(outcome_probabilities(circuit, model), shots, seed)

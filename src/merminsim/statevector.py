@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * Amplitudes are complex128 and global phase is kept as-is; nothing ever
   renormalizes it away.
 * Gate kernels update the amplitude buffer in place over the *last* axis, so
-  the same code serves a single state of shape ``(2**n,)`` and a batch of
-  trajectories of shape ``(shots, 2**n)``.
+  the same code serves a single state of shape ``(2**n,)`` and every row of a
+  ``(2**n, 2**n)`` density matrix (or of its transpose, for the columns).
 """
 
 from __future__ import annotations

@@ -4,18 +4,21 @@ The production code applies gates and Pauli strings with bitwise index
 arithmetic and never materializes an operator matrix.  The helpers here
 build the full 2^n x 2^n matrices the slow, obvious way (Kronecker
 products, qubit 0 as the leftmost factor) so tests can check the fast
-kernels against an independent construction.
+kernels against an independent construction.  The noisy oracles apply the
+same matrices either in operator-sum (Kraus) form or one sampled
+trajectory per shot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from merminsim import Circuit, Gate
+from merminsim import Circuit, Gate, NoiseModel, ShotCounts
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _P0 = np.diag([1, 0]).astype(complex)
@@ -54,6 +57,56 @@ def dense_circuit_matrix(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         mat = dense_gate_matrix(gate, circuit.n) @ mat
     return mat
+
+
+def _gate_noise_prob(gate: Gate, model: NoiseModel) -> float:
+    return model.p2 if gate.kind == "CNOT" else model.p1
+
+
+def dense_noisy_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
+    """Exact noisy outcome distribution: rho -> sum_k K rho K^dagger with
+    dense Kraus matrices, then a stochastic bit-flip matrix per readout bit."""
+    n = circuit.n
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = dense_gate_matrix(gate, n)
+        rho = u @ rho @ u.conj().T
+        p = _gate_noise_prob(gate, model)
+        for q in gate.targets:
+            kraus = [np.sqrt(1 - p) * np.eye(2**n)]
+            kraus += [np.sqrt(p / 3) * embed(s, q, n) for s in (_X, _Y, _Z)]
+            rho = sum(k @ rho @ k.conj().T for k in kraus)
+    probs = np.real(np.diag(rho))
+    f = model.readout_flip
+    for q in range(n):
+        probs = np.real(embed(np.array([[1 - f, f], [f, 1 - f]]), q, n)) @ probs
+    return probs
+
+
+def trajectory_counts(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> ShotCounts:
+    """Monte Carlo oracle: one pure-state trajectory per shot.  After every
+    gate each touched qubit draws an X, Y or Z kick with the gate's
+    probability; each outcome bit then flips with the readout probability."""
+    n = circuit.n
+    rng = np.random.default_rng(seed)
+    amp = np.zeros((shots, 2**n), dtype=complex)
+    amp[:, 0] = 1.0
+    for gate in circuit.gates:
+        amp = amp @ dense_gate_matrix(gate, n).T
+        p = _gate_noise_prob(gate, model)
+        for q in gate.targets:
+            kinds = np.where(rng.random(shots) < p, rng.integers(0, 3, size=shots), -1)
+            for kind, pauli in enumerate((_X, _Y, _Z)):
+                rows = kinds == kind
+                amp[rows] = amp[rows] @ embed(pauli, q, n).T
+    probs = np.abs(amp) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    outcomes = (np.cumsum(probs, axis=1) < rng.random((shots, 1))).sum(axis=1)
+    outcomes = np.minimum(outcomes, 2**n - 1)
+    bits = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    outcomes ^= (rng.random((shots, n)) < model.readout_flip) @ bits
+    return ShotCounts.from_vector(n, np.bincount(outcomes, minlength=2**n))
 
 
 def dense_pauli_matrix(axes: str) -> np.ndarray:

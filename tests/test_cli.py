@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from merminsim import cli
 from merminsim.cli import main
 
 
@@ -101,6 +103,35 @@ def test_usage_errors_exit_one(argv, capsys):
 def test_bad_noise_string_exits_one(capsys):
     assert main(["run", "--qubits", "3", "--setup", "mermin", "--noise", "0.5"]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--violation-sigmas", "nan"],
+        ["--violation-sigmas", "inf"],
+        ["--shots", "2.5"],
+        ["--workers", "0"],
+    ],
+    ids=["nan-sigmas", "inf-sigmas", "fractional-shots", "zero-workers"],
+)
+def test_invalid_run_inputs_exit_one(extra, capsys):
+    assert main(["run", "--qubits", "3", "--setup", "mermin", *extra]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_report_exits_one(monkeypatch, capsys):
+    # A report carrying nan must never be printed as (invalid) JSON.
+    real = cli.run_experiment
+
+    def nan_report(cfg, workers=1):
+        return dataclasses.replace(real(cfg, workers=workers), value=float("nan"))
+
+    monkeypatch.setattr(cli, "run_experiment", nan_report)
+    assert main(["run", "--qubits", "3", "--setup", "mermin"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid configuration" in captured.err
 
 
 def test_help_exits_zero(capsys):

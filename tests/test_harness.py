@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,35 @@ def test_config_validation():
         ExperimentConfig(qubits=3, setup="mermin", violation_sigmas=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(qubits=3, setup="nope")
+
+
+@pytest.mark.parametrize("sigmas", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_violation_sigmas(sigmas):
+    # nan fails every comparison, so a sign check alone would let it through.
+    with pytest.raises(ValueError, match="violation_sigmas"):
+        ExperimentConfig(qubits=3, setup="mermin", violation_sigmas=sigmas)
+
+
+@pytest.mark.parametrize("shots", [True, 2.5, 16384.0, "16384"])
+def test_config_rejects_non_integral_or_bool_shots(shots):
+    with pytest.raises(ValueError, match="shots"):
+        ExperimentConfig(qubits=3, setup="mermin", shots=shots)
+    with pytest.raises(ValueError, match="shots"):
+        run_exchange_test(shots=shots)
+    cfg = ExperimentConfig(qubits=3, setup="mermin", shots=np.int64(2048))
+    assert type(cfg.shots) is int
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_experiment_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(ExperimentConfig(qubits=3, setup="mermin"), workers=workers)
+
+
+def test_json_render_rejects_non_finite_numbers():
+    report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
+    with pytest.raises(ValueError):
+        render_report(dataclasses.replace(report, value=float("nan")), "json")
 
 
 def test_config_round_trip_and_string_setup_coercion():

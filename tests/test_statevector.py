@@ -173,8 +173,8 @@ def test_gate_serialization_round_trip():
 
 
 def test_inplace_kernel_handles_batched_amplitudes():
-    # The same kernel drives (dim,) states and (batch, dim) trajectory
-    # buffers; applying a gate to a batch must equal row-by-row application.
+    # The same kernel drives (dim,) states and the rows of (dim, dim) density
+    # matrices; applying a gate to a batch must equal row-by-row application.
     rng = np.random.default_rng(77)
     n, batch = 3, 6
     amps = np.stack([random_state(n, rng) for _ in range(batch)])
