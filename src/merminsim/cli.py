@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    BOUND_RECHECK_TOL,
     ExperimentConfig,
     InvariantError,
     RENDER_FORMATS,
@@ -89,7 +90,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print(f"lr_bound (brute force): {brute}")
     print(f"qm_value (stored): {sc.qm_value!r}")
     print(f"qm_value (eigencheck): {lam!r}")
-    if abs(brute - sc.lr_bound) > 1e-9 or abs(lam - sc.qm_value) > 1e-9:
+    if abs(brute - sc.lr_bound) > BOUND_RECHECK_TOL or abs(lam - sc.qm_value) > BOUND_RECHECK_TOL:
         raise InvariantError("stored bounds disagree with recomputation")
     print("verification: OK")
     return 0

@@ -12,8 +12,18 @@ trajectory per shot.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from merminsim import Circuit, Gate, NoiseModel, ShotCounts
+from merminsim.harness import _checked_setup, _exact_distribution
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Every test starts from an empty per-process memo, so no test is served
+    a catalog entry or distribution built by another (or before a patch)."""
+    _checked_setup.cache_clear()
+    _exact_distribution.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from merminsim import cli
+from merminsim import ExperimentConfig, InvariantError, cli, harness, run_experiment
+from merminsim.circuits import setup_config
 from merminsim.cli import main
 
 
@@ -132,6 +133,25 @@ def test_non_finite_report_exits_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid configuration" in captured.err
+
+
+@pytest.mark.parametrize("field", ["lr_bound", "qm_value"])
+def test_corrupted_catalog_entry_exits_two(field, monkeypatch, capsys):
+    # A stored bound off by one must stop every report and the bounds audit.
+    def corrupted(n, setup):
+        sc = setup_config(n, setup)
+        poly = dataclasses.replace(sc.polynomial, **{field: getattr(sc.polynomial, field) + 1})
+        return dataclasses.replace(sc, polynomial=poly)
+
+    monkeypatch.setattr(harness, "setup_config", corrupted)
+    monkeypatch.setattr(cli, "setup_config", corrupted)
+    with pytest.raises(InvariantError):
+        run_experiment(ExperimentConfig(qubits=4, setup="al"))
+    assert main(["run", "--qubits", "4", "--setup", "al"]) == 2
+    assert main(["bounds", "--qubits", "4", "--setup", "al"]) == 2
+    captured = capsys.readouterr()
+    assert "verification: OK" not in captured.out
+    assert captured.err.count("internal invariant failure") == 2
 
 
 def test_help_exits_zero(capsys):
