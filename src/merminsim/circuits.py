@@ -126,6 +126,9 @@ _PHASES: dict[tuple[int, Setup], float] = {
     (5, Setup.AL): 0.0,
     (5, Setup.AL_MODIFIED): math.pi,
 }
+# The supported qubit counts and setup ids, as the catalog above lists them.
+QUBIT_COUNTS = tuple(sorted({n for n, _ in _PHASES}))
+SETUP_IDS = tuple(s.value for s in Setup)
 
 
 def setup_config(n: int, setup: Setup | str) -> SetupConfig:
@@ -145,4 +148,4 @@ def setup_config(n: int, setup: Setup | str) -> SetupConfig:
 
 def all_setup_configs() -> list[SetupConfig]:
     """The full nine-entry catalog, ordered by qubit count then setup."""
-    return [setup_config(n, s) for n in (3, 4, 5) for s in Setup]
+    return [setup_config(n, s) for n, s in _PHASES]

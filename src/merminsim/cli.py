@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    BOUND_RECHECK_TOL,
     ExperimentConfig,
     InvariantError,
     RENDER_FORMATS,
@@ -23,8 +22,8 @@ from .harness import (
 )
 from .lhv import lr_bound_bruteforce, lr_bound_formula
 from .noise import NoiseModel
-from .polynomials import EigencheckError, eigencheck
-from .circuits import setup_config
+from .polynomials import CHECK_TOL, EigencheckError, eigencheck
+from .circuits import QUBIT_COUNTS, SETUP_IDS, setup_config
 from .statevector import ghz_state
 
 
@@ -62,7 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         expand_permutations=args.expand_permutations,
         violation_sigmas=args.violation_sigmas,
     )
-    report = run_experiment(cfg, workers=args.workers)
+    report = run_experiment(cfg)
     _emit(render_report(report, args.format), args.out)
     return 0
 
@@ -90,7 +89,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print(f"lr_bound (brute force): {brute}")
     print(f"qm_value (stored): {sc.qm_value!r}")
     print(f"qm_value (eigencheck): {lam!r}")
-    if abs(brute - sc.lr_bound) > BOUND_RECHECK_TOL or abs(lam - sc.qm_value) > BOUND_RECHECK_TOL:
+    if abs(brute - sc.lr_bound) > CHECK_TOL or abs(lam - sc.qm_value) > CHECK_TOL:
         raise InvariantError("stored bounds disagree with recomputation")
     print("verification: OK")
     return 0
@@ -113,20 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one violation experiment")
-    run_p.add_argument("--qubits", type=int, choices=(3, 4, 5), required=True)
-    run_p.add_argument("--setup", choices=("mermin", "al", "al-mod"), required=True)
+    run_p.add_argument("--qubits", type=int, choices=QUBIT_COUNTS, required=True)
+    run_p.add_argument("--setup", choices=SETUP_IDS, required=True)
     run_p.add_argument("--shots", type=int, default=16384)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--noise", default="0,0,0", help="p1,p2,readout")
     run_p.add_argument("--expand-permutations", action="store_true")
     run_p.add_argument("--violation-sigmas", type=float, default=3.0)
     run_p.add_argument("--format", choices=RENDER_FORMATS, default="json")
-    run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--out", default=None, help="write the report here instead of stdout")
     run_p.set_defaults(func=_cmd_run)
 
     ex_p = sub.add_parser("exchange-test", help="measure single-Y permutations separately")
-    ex_p.add_argument("--qubits", type=int, choices=(3, 4, 5), default=3)
+    ex_p.add_argument("--qubits", type=int, choices=QUBIT_COUNTS, default=3)
     ex_p.add_argument("--shots", type=int, default=16384)
     ex_p.add_argument("--seed", type=int, default=0)
     ex_p.add_argument("--noise", default="0,0,0", help="p1,p2,readout")
@@ -135,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex_p.set_defaults(func=_cmd_exchange)
 
     b_p = sub.add_parser("bounds", help="print and recheck the bounds of one setup")
-    b_p.add_argument("--qubits", type=int, choices=(3, 4, 5), required=True)
-    b_p.add_argument("--setup", choices=("mermin", "al", "al-mod"), required=True)
+    b_p.add_argument("--qubits", type=int, choices=QUBIT_COUNTS, required=True)
+    b_p.add_argument("--setup", choices=SETUP_IDS, required=True)
     b_p.set_defaults(func=_cmd_bounds)
 
     v_p = sub.add_parser("verify", help="run the internal invariant suite")

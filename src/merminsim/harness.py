@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +18,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import reference
-from .circuits import Setup, SetupConfig, ghz_circuit, measurement_transform, run, setup_config
+from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_circuit
+from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PauliString
-from .polynomials import MerminPolynomial, SymmetryClass, collapse, eigencheck
+from .pauli import PauliString, mask_parity
+from .polynomials import CHECK_TOL, MerminPolynomial, SymmetryClass, collapse, eigencheck
 from .sampling import (
     Estimate,
+    check_int,
     derive_seed,
     exchange_spread,
     expectation_from_counts,
@@ -38,7 +38,6 @@ from .sampling import (
 from .statevector import ghz_state, probabilities
 
 SCHEMA_VERSION = 1
-BOUND_RECHECK_TOL = 1e-9
 # Entries per memo below; all 18 cells at three noise levels need 276 distributions.
 _MEMO_SIZE = 1024
 
@@ -52,13 +51,12 @@ class InvariantError(RuntimeError):
     """An internal consistency recheck failed while assembling a report."""
 
 
-def _check_shots(shots: int) -> int:
-    """A positive int; bools and floats (even integral ones) are rejected."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return int(shots)
+def _check_qubits(qubits: int) -> int:
+    """One of the catalog's qubit counts, as a plain int."""
+    qubits = check_int("qubits", qubits)
+    if qubits not in QUBIT_COUNTS:
+        raise ValueError(f"qubits must be one of {QUBIT_COUNTS}, got {qubits}")
+    return qubits
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "setup", Setup(self.setup))
-        if self.qubits not in (3, 4, 5):
-            raise ValueError(f"qubits must be 3, 4 or 5, got {self.qubits}")
-        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "qubits", _check_qubits(self.qubits))
+        object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
         if not (math.isfinite(self.violation_sigmas) and self.violation_sigmas >= 0):
             raise ValueError(
                 f"violation_sigmas must be finite and >= 0, got {self.violation_sigmas}"
@@ -248,12 +246,12 @@ def _recheck_bounds(cfg_n: int, phase: float, poly: MerminPolynomial) -> None:
     force and its QM value the GHZ(cfg_n, phase) eigenvalue.  Runs once per
     catalog entry per process, from ``_checked_setup``."""
     brute = lr_bound_bruteforce(poly)
-    if abs(brute - poly.lr_bound) > BOUND_RECHECK_TOL:
+    if abs(brute - poly.lr_bound) > CHECK_TOL:
         raise InvariantError(
             f"stored LR bound {poly.lr_bound} disagrees with brute force {brute}"
         )
     lam = eigencheck(poly, ghz_state(cfg_n, phase))
-    if abs(lam - poly.qm_value) > BOUND_RECHECK_TOL:
+    if abs(lam - poly.qm_value) > CHECK_TOL:
         raise InvariantError(f"stored QM value {poly.qm_value} disagrees with eigenvalue {lam}")
 
 
@@ -266,17 +264,14 @@ def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryCla
     return sc, tuple(collapse(sc.polynomial))
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one full violation test.
 
     The checked catalog entry and each circuit's exact distribution are
     memoised per process, so a later run of the cell only redraws shots.
-    ``workers`` only parallelizes the per-class measurements; every circuit
-    owns a seed derived from (config seed, setup, class), so the report is
-    byte-identical for any worker count and for a cold or warm memo.
+    Every circuit owns a seed derived from (config seed, setup, class), so
+    the report is byte-identical for a cold or warm memo.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     sc, classes = _checked_setup(cfg.qubits, cfg.setup)
 
     if cfg.expand_permutations:
@@ -296,16 +291,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             for cl in classes
         ]
 
-    def measure(job: tuple) -> Estimate:
-        _, axes, _, _, seed = job
-        return _measure_axes(cfg.qubits, sc.ghz_phase, axes, cfg.shots, seed, cfg.noise)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(measure, jobs))
-    else:
-        estimates = [measure(j) for j in jobs]
-
+    estimates = [
+        _measure_axes(cfg.qubits, sc.ghz_phase, axes, cfg.shots, seed, cfg.noise)
+        for _, axes, _, _, seed in jobs
+    ]
     terms = tuple(
         TermEstimate(y, axes, coeff, mult, est.value, est.error, seed)
         for (y, axes, coeff, mult, seed), est in zip(jobs, estimates)
@@ -346,9 +335,9 @@ def run_exchange_test(
     The standard test uses three qubits; larger n runs the same check on the
     n available permutations.
     """
-    if qubits not in (3, 4, 5):
-        raise ValueError(f"qubits must be 3, 4 or 5, got {qubits}")
-    shots = _check_shots(shots)
+    qubits = _check_qubits(qubits)
+    shots = check_int("shots", shots, 1)
+    seed = check_int("seed", seed)
     phase = math.pi / 2
     axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
     terms = []
@@ -480,47 +469,46 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
     from .pauli import exact_expectation  # local import keeps module load light
 
     results: list[tuple[str, bool, str]] = []
-    for n in (3, 4, 5):
-        for setup in Setup:
-            sc = setup_config(n, setup)
-            label = f"{n}q/{setup.value}"
-            brute = lr_bound_bruteforce(sc.polynomial)
-            results.append(
-                (
-                    f"{label} LR bound matches brute force",
-                    abs(brute - sc.lr_bound) <= BOUND_RECHECK_TOL,
-                    f"stored {sc.lr_bound}, brute {brute}",
-                )
+    for sc in all_setup_configs():
+        n = sc.n
+        label = f"{n}q/{sc.setup.value}"
+        brute = lr_bound_bruteforce(sc.polynomial)
+        results.append(
+            (
+                f"{label} LR bound matches brute force",
+                abs(brute - sc.lr_bound) <= CHECK_TOL,
+                f"stored {sc.lr_bound}, brute {brute}",
             )
-            state = ghz_state(n, sc.ghz_phase)
-            try:
-                lam = eigencheck(sc.polynomial, state)
-                ok = abs(lam - sc.qm_value) <= BOUND_RECHECK_TOL
-                detail = f"eigenvalue {lam:.12f}, stored {sc.qm_value:.12f}"
-            except Exception as exc:  # EigencheckError carries the residual
-                ok, detail = False, str(exc)
-            results.append((f"{label} GHZ eigenvalue matches QM value", ok, detail))
-            closed_ok = True
-            worst = 0.0
-            for cl in collapse(sc.polynomial):
-                axes = "X" * (n - cl.y_count) + "Y" * cl.y_count
-                got = exact_expectation(state, PauliString.from_str(axes))
-                want = math.cos(sc.ghz_phase - cl.y_count * math.pi / 2)
-                worst = max(worst, abs(got - want))
-                closed_ok &= abs(got - want) <= 1e-10
-                circuit = ghz_circuit(n, sc.ghz_phase).then(
-                    measurement_transform(PauliString.from_str(axes))
-                )
-                probs = probabilities(run(circuit))
-                signs = [(-1.0) ** bin(i).count("1") for i in range(probs.size)]
-                parity = float(sum(p * s for p, s in zip(probs, signs)))
-                worst = max(worst, abs(parity - got))
-                closed_ok &= abs(parity - got) <= 1e-10
-            results.append(
-                (
-                    f"{label} class expectations match cos(phase - Y*pi/2) and circuit parity",
-                    closed_ok,
-                    f"worst deviation {worst:.2e}",
-                )
+        )
+        state = ghz_state(n, sc.ghz_phase)
+        try:
+            lam = eigencheck(sc.polynomial, state)
+            ok = abs(lam - sc.qm_value) <= CHECK_TOL
+            detail = f"eigenvalue {lam:.12f}, stored {sc.qm_value:.12f}"
+        except Exception as exc:  # EigencheckError carries the residual
+            ok, detail = False, str(exc)
+        results.append((f"{label} GHZ eigenvalue matches QM value", ok, detail))
+        closed_ok = True
+        worst = 0.0
+        signs = (1 - 2 * mask_parity(np.arange(1 << n), (1 << n) - 1)).tolist()
+        for cl in collapse(sc.polynomial):
+            axes = "X" * (n - cl.y_count) + "Y" * cl.y_count
+            got = exact_expectation(state, PauliString.from_str(axes))
+            want = math.cos(sc.ghz_phase - cl.y_count * math.pi / 2)
+            worst = max(worst, abs(got - want))
+            closed_ok &= abs(got - want) <= 1e-10
+            circuit = ghz_circuit(n, sc.ghz_phase).then(
+                measurement_transform(PauliString.from_str(axes))
             )
+            probs = probabilities(run(circuit))
+            parity = float(sum(p * s for p, s in zip(probs, signs)))
+            worst = max(worst, abs(parity - got))
+            closed_ok &= abs(parity - got) <= 1e-10
+        results.append(
+            (
+                f"{label} class expectations match cos(phase - Y*pi/2) and circuit parity",
+                closed_ok,
+                f"worst deviation {worst:.2e}",
+            )
+        )
     return results

@@ -1,4 +1,4 @@
-"""Stochastic Pauli noise: exact noisy outcome distributions and shot sampling.
+"""Stochastic Pauli noise: exact noisy outcome distributions.
 
 After every gate, each touched qubit independently suffers a uniformly random
 X, Y, or Z kick with the gate's depolarizing probability (p1 for one-qubit
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, run
-from .sampling import ShotCounts, sample_shots
 from .statevector import Gate, apply_gate_inplace, probabilities
 
 
@@ -110,8 +109,3 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
             b[:, 1, :] = f * p0 + (1.0 - f) * p1
     return probs
 
-
-def sample_noisy_shots(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> ShotCounts:
-    """Histogram of ``shots`` independent noisy shots: one multinomial draw
-    from the exact outcome distribution."""
-    return sample_shots(outcome_probabilities(circuit, model), shots, seed)

@@ -19,7 +19,9 @@ from .lhv import lr_bound_formula
 from .pauli import PauliString, apply_pauli
 from .statevector import MAX_QUBITS, Statevector
 
-EIGENCHECK_TOL = 1e-9
+# Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
+# LR bounds and QM values against their recomputation.
+CHECK_TOL = 1e-9
 
 Term = tuple[Fraction, PauliString]
 
@@ -165,7 +167,7 @@ def eigencheck(p: MerminPolynomial, state: Statevector) -> float:
     """Eigenvalue of p on an eigenstate.
 
     Applies the polynomial term by term and verifies ||p|s> - lam|s>|| stays
-    below EIGENCHECK_TOL, where lam = <s|p|s>.  Raises EigencheckError with
+    below CHECK_TOL, where lam = <s|p|s>.  Raises EigencheckError with
     the residual norm otherwise.
     """
     if state.n != p.n:
@@ -175,6 +177,6 @@ def eigencheck(p: MerminPolynomial, state: Statevector) -> float:
         acc += float(coeff) * apply_pauli(state, s).amplitudes
     lam = float(np.real(np.vdot(state.amplitudes, acc)))
     residual = float(np.linalg.norm(acc - lam * state.amplitudes))
-    if residual > EIGENCHECK_TOL:
+    if residual > CHECK_TOL:
         raise EigencheckError(residual)
     return lam

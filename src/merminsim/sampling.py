@@ -10,15 +10,20 @@ estimates inherits ``sqrt(sum (c_k * m_k)^2 d_k^2)`` because every one of the
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .pauli import mask_parity
 from .polynomials import SymmetryClass
+from .statevector import MAX_QUBITS
+
+# (-1)**popcount(i) for every outcome index i of up to MAX_QUBITS bits.
+_PARITY_SIGNS = (1 - 2 * mask_parity(np.arange(1 << MAX_QUBITS), (1 << MAX_QUBITS) - 1)).tolist()
 
 
 @dataclass(frozen=True)
@@ -33,48 +38,57 @@ class Estimate:
             raise ValueError(f"error must be >= 0, got {self.error}")
 
 
+def check_int(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as a plain int; bools and floats (even integral ones) are
+    rejected, numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ShotCounts:
-    """Outcome histogram of one measured circuit: bitstring -> count."""
+    """Outcome histogram of one measured circuit: ``vector[i]`` shots gave
+    outcome ``i``, read MSB-first (qubit 0 is the leftmost bit)."""
 
     n: int
-    total: int
-    counts: dict[str, int]
+    vector: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts do not sum to the stated total")
-        for key, c in self.counts.items():
-            if len(key) != self.n or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r} for n={self.n}")
-            if c < 0:
-                raise ValueError(f"negative count for {key!r}")
+        # n <= MAX_QUBITS also keeps every outcome inside _PARITY_SIGNS.
+        if not 0 <= self.n <= MAX_QUBITS or len(self.vector) != 1 << self.n:
+            raise ValueError(f"need 2**n counts, n <= {MAX_QUBITS}; got n={self.n}, {len(self.vector)}")
+        if min(self.vector) < 0:
+            raise ValueError("negative count")
 
-    def as_vector(self) -> np.ndarray:
-        vec = np.zeros(1 << self.n, dtype=np.int64)
-        for key, c in self.counts.items():
-            vec[int(key, 2)] = c
-        return vec
+    @property
+    def total(self) -> int:
+        return sum(self.vector)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The nonzero bins keyed by bit string, in ascending order."""
+        return {format(i, f"0{self.n}b"): c for i, c in enumerate(self.vector) if c}
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "total": self.total, "counts": dict(sorted(self.counts.items()))}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["outcome,count"]
-        lines += [f"{key},{c}" for key, c in sorted(self.counts.items())]
-        return "\n".join(lines) + "\n"
+        return {"n": self.n, "total": self.total, "counts": self.counts}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShotCounts":
-        return cls(d["n"], d["total"], dict(d["counts"]))
-
-    @classmethod
-    def from_vector(cls, n: int, vec: np.ndarray) -> "ShotCounts":
-        counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(vec) if c > 0}
-        return cls(n, int(vec.sum()), counts)
+        n = check_int("n", d["n"], 1)
+        if n > MAX_QUBITS:
+            raise ValueError(f"n must be <= {MAX_QUBITS}, got {n}")
+        vector = [0] * (1 << n)
+        for key, c in d["counts"].items():
+            if len(key) != n or set(key) - {"0", "1"}:
+                raise ValueError(f"bad outcome key {key!r} for n={n}")
+            vector[int(key, 2)] = check_int(f"count of {key!r}", c, 0)
+        counts = cls(n, tuple(vector))
+        if counts.total != d["total"]:
+            raise ValueError("counts do not sum to the stated total")
+        return counts
 
 
 def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
@@ -91,7 +105,7 @@ def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
         raise ValueError(f"probability vector length {probs.size} is not a power of two")
     rng = np.random.default_rng(seed)
     vec = rng.multinomial(shots, np.clip(probs, 0.0, None) / probs.sum())
-    return ShotCounts.from_vector(n, vec)
+    return ShotCounts(n, tuple(vec.tolist()))
 
 
 def expectation_from_counts(counts: ShotCounts) -> Estimate:
@@ -99,11 +113,11 @@ def expectation_from_counts(counts: ShotCounts) -> Estimate:
     total = counts.total
     value = 0.0
     var = 0.0
-    for key, c in counts.counts.items():
-        p_hat = c / total
-        sign = -1.0 if key.count("1") % 2 else 1.0
-        value += sign * p_hat
-        var += p_hat * (1.0 - p_hat) / total
+    for c, sign in zip(counts.vector, _PARITY_SIGNS):
+        if c:
+            p_hat = c / total
+            value += sign * p_hat
+            var += p_hat * (1.0 - p_hat) / total
     return Estimate(value, math.sqrt(var))
 
 

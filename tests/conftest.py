@@ -11,6 +11,8 @@ trajectory per shot.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,22 @@ def trajectory_counts(circuit: Circuit, model: NoiseModel, shots: int, seed: int
     outcomes = np.minimum(outcomes, 2**n - 1)
     bits = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
     outcomes ^= (rng.random((shots, n)) < model.readout_flip) @ bits
-    return ShotCounts.from_vector(n, np.bincount(outcomes, minlength=2**n))
+    return ShotCounts(n, tuple(np.bincount(outcomes, minlength=2**n).tolist()))
+
+
+def string_keyed_expectation(counts: ShotCounts) -> tuple[float, float]:
+    """Bit-exact oracle of the parity estimator: the nonzero bins as bit
+    strings in ascending order, each sign parsed back from its string."""
+    keyed = {format(i, f"0{counts.n}b"): c for i, c in enumerate(counts.vector) if c > 0}
+    total = sum(keyed.values())
+    value = 0.0
+    var = 0.0
+    for key, c in keyed.items():
+        p_hat = c / total
+        sign = -1.0 if key.count("1") % 2 else 1.0
+        value += sign * p_hat
+        var += p_hat * (1.0 - p_hat) / total
+    return value, math.sqrt(var)
 
 
 def dense_pauli_matrix(axes: str) -> np.ndarray:

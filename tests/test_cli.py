@@ -8,7 +8,7 @@ import json
 import pytest
 
 from merminsim import ExperimentConfig, InvariantError, cli, harness, run_experiment
-from merminsim.circuits import setup_config
+from merminsim.circuits import QUBIT_COUNTS, SETUP_IDS, all_setup_configs, setup_config
 from merminsim.cli import main
 
 
@@ -25,7 +25,7 @@ def test_run_is_deterministic(capsys):
     argv = ["run", "--qubits", "4", "--setup", "al", "--seed", "9"]
     main(argv)
     first = capsys.readouterr().out
-    main(argv + ["--workers", "3"])
+    main(argv)
     second = capsys.readouterr().out
     assert first == second
 
@@ -112,9 +112,10 @@ def test_bad_noise_string_exits_one(capsys):
         ["--violation-sigmas", "nan"],
         ["--violation-sigmas", "inf"],
         ["--shots", "2.5"],
-        ["--workers", "0"],
+        ["--seed", "1.7"],
+        ["--workers", "2"],
     ],
-    ids=["nan-sigmas", "inf-sigmas", "fractional-shots", "zero-workers"],
+    ids=["nan-sigmas", "inf-sigmas", "fractional-shots", "fractional-seed", "removed-workers-flag"],
 )
 def test_invalid_run_inputs_exit_one(extra, capsys):
     assert main(["run", "--qubits", "3", "--setup", "mermin", *extra]) == 1
@@ -125,8 +126,8 @@ def test_non_finite_report_exits_one(monkeypatch, capsys):
     # A report carrying nan must never be printed as (invalid) JSON.
     real = cli.run_experiment
 
-    def nan_report(cfg, workers=1):
-        return dataclasses.replace(real(cfg, workers=workers), value=float("nan"))
+    def nan_report(cfg):
+        return dataclasses.replace(real(cfg), value=float("nan"))
 
     monkeypatch.setattr(cli, "run_experiment", nan_report)
     assert main(["run", "--qubits", "3", "--setup", "mermin"]) == 1
@@ -152,6 +153,18 @@ def test_corrupted_catalog_entry_exits_two(field, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "verification: OK" not in captured.out
     assert captured.err.count("internal invariant failure") == 2
+
+
+def test_cli_choices_follow_the_catalog():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for command in ("run", "exchange-test", "bounds"):
+        options = {a.dest: a.choices for a in subparsers[command]._actions}
+        assert tuple(options["qubits"]) == QUBIT_COUNTS == (3, 4, 5)
+        if command != "exchange-test":
+            assert tuple(options["setup"]) == SETUP_IDS == ("mermin", "al", "al-mod")
+    assert [(sc.n, sc.setup.value) for sc in all_setup_configs()] == [
+        (n, s) for n in QUBIT_COUNTS for s in SETUP_IDS
+    ]
 
 
 def test_help_exits_zero(capsys):

@@ -20,6 +20,7 @@ from merminsim import (
     run_experiment,
     verify_invariants,
 )
+from merminsim.harness import _checked_setup, _exact_distribution
 
 
 @pytest.mark.parametrize("config", all_setup_configs(), ids=lambda c: f"{c.n}q-{c.setup.value}")
@@ -76,10 +77,35 @@ def test_config_rejects_non_integral_or_bool_shots(shots):
     assert type(cfg.shots) is int
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_run_experiment_rejects_workers_below_one(workers):
-    with pytest.raises(ValueError, match="workers"):
-        run_experiment(ExperimentConfig(qubits=3, setup="mermin"), workers=workers)
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"])
+def test_config_rejects_non_integral_or_bool_seed(seed):
+    # A float seed would be reported as given but sampled as its floor.
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(qubits=3, setup="mermin", seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_exchange_test(seed=seed)
+
+
+@pytest.mark.parametrize("qubits", [3.0, True, "3"])
+def test_config_rejects_non_integral_or_bool_qubits(qubits):
+    with pytest.raises(ValueError, match="qubits"):
+        ExperimentConfig(qubits=qubits, setup="mermin")
+    with pytest.raises(ValueError, match="qubits"):
+        run_exchange_test(qubits=qubits)
+
+
+def test_config_accepts_negative_and_numpy_integer_seeds():
+    cfg = ExperimentConfig(qubits=np.int64(3), setup="mermin", seed=np.int64(-5))
+    assert type(cfg.qubits) is int and type(cfg.seed) is int
+    assert cfg.to_dict()["seed"] == -5
+    assert run_exchange_test(seed=np.int32(-5)).seed == -5
+
+
+def test_report_from_dict_rejects_fractional_seed():
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    payload["config"]["seed"] = 2.5
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentReport.from_dict(payload)
 
 
 def test_json_render_rejects_non_finite_numbers():
@@ -111,12 +137,15 @@ def test_report_rejects_unknown_schema_version():
 
 
 def test_json_report_is_byte_identical_across_runs_and_workers():
+    # Repeat runs on a warm memo and a run on a cold one render the same bytes.
     cfg = ExperimentConfig(qubits=5, setup="al", seed=42)
     first = render_report(run_experiment(cfg), "json")
     second = render_report(run_experiment(cfg), "json")
-    parallel = render_report(run_experiment(cfg, workers=4), "json")
+    _checked_setup.cache_clear()
+    _exact_distribution.cache_clear()
+    cold = render_report(run_experiment(cfg), "json")
     assert first == second
-    assert first == parallel
+    assert first == cold
 
 
 def test_seed_changes_sampled_estimates():

@@ -20,9 +20,9 @@ CELLS = [
 ]
 
 
-def _json(n: int, setup: Setup, expand: bool, noise: NoiseModel, workers: int = 1) -> str:
+def _json(n: int, setup: Setup, expand: bool, noise: NoiseModel) -> str:
     cfg = ExperimentConfig(qubits=n, setup=setup, seed=9, noise=noise, expand_permutations=expand)
-    return render_report(run_experiment(cfg, workers=workers), "json")
+    return render_report(run_experiment(cfg), "json")
 
 
 @pytest.mark.parametrize("n, setup, expand, noise", CELLS)
@@ -46,16 +46,6 @@ def test_checked_setup_entry_is_immutable_and_shared():
     assert isinstance(classes, tuple)
     assert _checked_setup(4, "al") == (sc, classes)
     assert _checked_setup.cache_info().hits == 1
-
-
-def test_parallel_workers_on_cold_memo_match_serial():
-    for noise in (NoiseModel(), NoiseModel(0.01, 0.01, 0.01)):
-        reports = []
-        for workers in (1, 4):
-            _checked_setup.cache_clear()
-            _exact_distribution.cache_clear()
-            reports.append(_json(5, Setup.AL_MODIFIED, True, noise, workers))
-        assert reports[0] == reports[1]
 
 
 def test_distribution_memo_stays_within_its_bound():

@@ -21,7 +21,7 @@ from merminsim import (
     probabilities,
     run,
     run_experiment,
-    sample_noisy_shots,
+    sample_shots,
 )
 from merminsim.pauli import mask_parity
 
@@ -55,6 +55,11 @@ def _exact_value(config, model: NoiseModel, expanded: bool = False) -> float:
     return total
 
 
+def _noisy_shots(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> np.ndarray:
+    """The harness's measurement: one multinomial draw from the exact distribution."""
+    return np.array(sample_shots(outcome_probabilities(circuit, model), shots, seed).vector)
+
+
 def _symmetric(p: float) -> NoiseModel:
     return NoiseModel(p1=p, p2=p, readout_flip=p)
 
@@ -83,8 +88,7 @@ def test_zero_noise_sampler_matches_exact_distribution():
     support = np.flatnonzero(exact > 1e-12)
     assert support.size == 4
 
-    counts = sample_noisy_shots(circuit, NoiseModel(), 16384, seed=21)
-    vec = counts.as_vector()
+    vec = _noisy_shots(circuit, NoiseModel(), 16384, seed=21)
     assert vec.sum() == 16384
     # No leakage outside the exact support in the absence of noise.
     off_support = np.delete(vec, support)
@@ -96,11 +100,11 @@ def test_zero_noise_sampler_matches_exact_distribution():
 def test_noisy_sampler_is_deterministic_per_seed():
     circuit = ghz_circuit(3, np.pi / 2)
     model = NoiseModel(0.02, 0.04, 0.01)
-    a = sample_noisy_shots(circuit, model, 4096, seed=5)
-    b = sample_noisy_shots(circuit, model, 4096, seed=5)
-    c = sample_noisy_shots(circuit, model, 4096, seed=6)
-    assert a == b
-    assert a.counts != c.counts
+    a = _noisy_shots(circuit, model, 4096, seed=5)
+    b = _noisy_shots(circuit, model, 4096, seed=5)
+    c = _noisy_shots(circuit, model, 4096, seed=6)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_two_qubit_noise_ignored_without_cnot_gates():
@@ -117,8 +121,7 @@ def test_full_readout_scrambling_is_uniform():
     # readout_flip = 0.5 makes every output bit a fair coin regardless of
     # the underlying state: the exact distribution is uniform to the last bit.
     circuit = ghz_circuit(3, 0.0)
-    counts = sample_noisy_shots(circuit, NoiseModel(readout_flip=0.5), 16384, seed=11)
-    result = stats.chisquare(counts.as_vector())
+    result = stats.chisquare(_noisy_shots(circuit, NoiseModel(readout_flip=0.5), 16384, seed=11))
     assert result.pvalue > 0.001
     for n, phase, axes in ((3, np.pi / 2, "XYY"), (5, np.pi, "XXYYY")):
         circuit = _measured_circuit(n, phase, axes)
@@ -170,8 +173,8 @@ def test_noisy_sampler_agrees_with_trajectory_oracle(n, phase, axes):
     model = _symmetric(0.03)
     table = np.stack(
         [
-            sample_noisy_shots(circuit, model, 16384, seed=1).as_vector(),
-            trajectory_counts(circuit, model, 16384, seed=2).as_vector(),
+            _noisy_shots(circuit, model, 16384, seed=1),
+            trajectory_counts(circuit, model, 16384, seed=2).vector,
         ]
     )
     table = table[:, table.sum(axis=0) > 0]

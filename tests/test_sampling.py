@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import string_keyed_expectation
 from merminsim import (
     Estimate,
     ShotCounts,
@@ -56,22 +57,58 @@ def test_sample_shots_rejects_bad_distributions():
 
 
 def test_shot_counts_validation_and_round_trips():
-    counts = ShotCounts(2, 10, {"00": 4, "11": 6})
-    assert list(counts.as_vector()) == [4, 0, 0, 6]
+    counts = ShotCounts(2, (4, 0, 0, 6))
+    assert counts.total == 10
+    assert counts.counts == {"00": 4, "11": 6}
+    assert counts.to_dict() == {"n": 2, "total": 10, "counts": {"00": 4, "11": 6}}
     assert ShotCounts.from_dict(counts.to_dict()) == counts
-    assert ShotCounts.from_vector(2, counts.as_vector()) == counts
-    assert counts.to_csv() == "outcome,count\n00,4\n11,6\n"
     with pytest.raises(ValueError):
-        ShotCounts(2, 11, {"00": 4, "11": 6})
+        ShotCounts(2, (4, 0, 6))
     with pytest.raises(ValueError):
-        ShotCounts(2, 10, {"000": 4, "11": 6})
+        ShotCounts(9, (1,) * 512)  # beyond MAX_QUBITS the parity table would truncate
     with pytest.raises(ValueError):
-        ShotCounts(2, 10, {"0x": 4, "11": 6})
+        ShotCounts(2, (4, 0, -1, 7))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 2, "total": 10, "counts": {"000": 4, "11": 6}},
+        {"n": 2, "total": 10, "counts": {"0x": 4, "11": 6}},
+        {"n": 2, "total": 10, "counts": {"00": -4, "11": 14}},
+        {"n": 2, "total": 10, "counts": {"00": 4.0, "11": 6}},
+        {"n": 2, "total": 11, "counts": {"00": 4, "11": 6}},
+        {"n": 0, "total": 0, "counts": {}},
+        {"n": 2.0, "total": 10, "counts": {"00": 4, "11": 6}},
+        {"n": True, "total": 1, "counts": {"1": 1}},
+        # 1 << 64 bins cannot be allocated, so only a check on n made first raises ValueError.
+        {"n": 64, "total": 1, "counts": {"0" * 64: 1}},
+    ],
+    ids=[
+        "long-key", "bad-digit", "negative", "float-count", "wrong-total",
+        "n-zero", "n-float", "n-bool", "n-64",
+    ],
+)
+def test_shot_counts_from_dict_rejects_bad_input(payload):
+    with pytest.raises(ValueError):
+        ShotCounts.from_dict(payload)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expectation_matches_string_keyed_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(40):
+        vector = rng.integers(0, 50, size=2**n)
+        vector[rng.random(2**n) < 0.4] = 0  # zero bins, as sparse histograms have
+        vector[rng.integers(2**n)] += 1
+        counts = ShotCounts(n, tuple(vector.tolist()))
+        est = expectation_from_counts(counts)
+        assert (est.value, est.error) == string_keyed_expectation(counts)
 
 
 def test_expectation_from_balanced_ghz_counts():
     # Half the shots on 000 (parity +1), half on 111 (parity -1).
-    est = expectation_from_counts(ShotCounts(3, 16384, {"000": 8192, "111": 8192}))
+    est = expectation_from_counts(ShotCounts(3, (8192, 0, 0, 0, 0, 0, 0, 8192)))
     assert est.value == 0.0
     per_outcome = math.sqrt(0.25 / 16384)
     assert per_outcome == 0.00390625
@@ -79,7 +116,7 @@ def test_expectation_from_balanced_ghz_counts():
 
 
 def test_expectation_from_point_mass_counts():
-    est = expectation_from_counts(ShotCounts(2, 16384, {"00": 16384}))
+    est = expectation_from_counts(ShotCounts(2, (16384, 0, 0, 0)))
     assert est.value == 1.0
     assert est.error == 0.0
 
