@@ -3,7 +3,6 @@ qubit-count/setup combinations used by the harness."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,17 +28,6 @@ class Circuit:
             raise ValueError("circuits act on different qubit counts")
         return Circuit(self.n, self.gates + other.gates)
 
-    def to_dicts(self) -> list[dict]:
-        return [g.to_dict() for g in self.gates]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "gates": self.to_dicts()}, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        d = json.loads(text)
-        return cls(d["n"], tuple(Gate.from_dict(g) for g in d["gates"]))
-
 
 def ghz_circuit(n: int, phase: float = 0.0) -> Circuit:
     """H on qubit 0, PHASE(phase) on qubit 0 (omitted when zero), then a CNOT
@@ -62,14 +50,6 @@ def measurement_transform(p: PauliString) -> Circuit:
             gates.append(Gate("SDG", (q,)))
         gates.append(Gate("H", (q,)))
     return Circuit(p.n, tuple(gates))
-
-
-def permute_qubits(c: Circuit, perm: tuple[int, ...]) -> Circuit:
-    """Relabel qubits: every gate target t becomes perm[t]."""
-    if sorted(perm) != list(range(c.n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{c.n - 1}")
-    gates = tuple(Gate(g.kind, tuple(perm[t] for t in g.targets), g.angle) for g in c.gates)
-    return Circuit(c.n, gates)
 
 
 def run(c: Circuit, initial: Statevector | None = None) -> Statevector:

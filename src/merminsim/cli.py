@@ -14,17 +14,17 @@ from .harness import (
     ExperimentConfig,
     InvariantError,
     RENDER_FORMATS,
+    recheck_bounds,
     render_exchange_report,
     render_report,
     run_experiment,
     run_exchange_test,
     verify_invariants,
 )
-from .lhv import lr_bound_bruteforce, lr_bound_formula
+from .lhv import lr_bound_formula
 from .noise import NoiseModel
-from .polynomials import CHECK_TOL, EigencheckError, eigencheck
+from .polynomials import EigencheckError
 from .circuits import QUBIT_COUNTS, SETUP_IDS, setup_config
-from .statevector import ghz_state
 
 
 class _UsageError(Exception):
@@ -79,8 +79,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     sc = setup_config(args.qubits, args.setup)
-    brute = lr_bound_bruteforce(sc.polynomial)
-    lam = eigencheck(sc.polynomial, ghz_state(sc.n, sc.ghz_phase))
+    rows, brute, lam = recheck_bounds(sc)
     print(f"qubits: {sc.n}")
     print(f"setup: {sc.setup.value}")
     print(f"terms: {len(sc.polynomial.terms)}")
@@ -89,8 +88,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print(f"lr_bound (brute force): {brute}")
     print(f"qm_value (stored): {sc.qm_value!r}")
     print(f"qm_value (eigencheck): {lam!r}")
-    if abs(brute - sc.lr_bound) > CHECK_TOL or abs(lam - sc.qm_value) > CHECK_TOL:
-        raise InvariantError("stored bounds disagree with recomputation")
+    failed = [f"{name}: FAIL ({detail})" for name, ok, detail in rows if not ok]
+    if failed:
+        raise InvariantError("; ".join(failed))
     print("verification: OK")
     return 0
 
@@ -154,12 +154,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except (InvariantError, EigencheckError) as exc:  # before ValueError, its base
+        print(f"merminsim: internal invariant failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print(f"merminsim: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except (InvariantError, EigencheckError) as exc:
-        print(f"merminsim: internal invariant failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -23,14 +24,14 @@ from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
 from .pauli import PauliString, mask_parity
-from .polynomials import CHECK_TOL, MerminPolynomial, SymmetryClass, collapse, eigencheck
+from .polynomials import CHECK_TOL, EigencheckError, MerminPolynomial, SymmetryClass, collapse, eigencheck
 from .sampling import (
     Estimate,
     check_int,
+    check_real,
     derive_seed,
     exchange_spread,
     expectation_from_counts,
-    polynomial_estimate,
     polynomial_estimate_expanded,
     round_error,
     sample_shots,
@@ -74,10 +75,10 @@ class ExperimentConfig:
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
         object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed))
-        if not (math.isfinite(self.violation_sigmas) and self.violation_sigmas >= 0):
-            raise ValueError(
-                f"violation_sigmas must be finite and >= 0, got {self.violation_sigmas}"
-            )
+        if not isinstance(self.expand_permutations, bool):
+            raise ValueError(f"expand_permutations must be a bool, got {self.expand_permutations!r}")
+        sigmas = check_real("violation_sigmas", self.violation_sigmas, 0.0)
+        object.__setattr__(self, "violation_sigmas", sigmas)
 
     def to_dict(self) -> dict:
         return {
@@ -227,32 +228,44 @@ def _exact_distribution(n: int, phase: float, axes: str, noise: NoiseModel) -> n
     return probs
 
 
-def _measure_axes(
-    n: int,
-    phase: float,
-    axes: str,
-    shots: int,
-    seed: int,
-    noise: NoiseModel,
-) -> Estimate:
-    """Estimate <axes> on GHZ(n, phase): ``shots`` drawn with ``seed`` from the
-    memoised exact distribution, so only the first call per circuit evolves it."""
-    probs = _exact_distribution(n, phase, axes, noise)
-    return expectation_from_counts(sample_shots(probs, shots, seed))
+def _measure_terms(
+    n: int, phase: float, shots: int, noise: NoiseModel, jobs: list[tuple[str, Fraction, int, int]]
+) -> tuple[TermEstimate, ...]:
+    """Estimate <axes> on GHZ(n, phase) for each (axes, coefficient,
+    multiplicity, seed) job: ``shots`` drawn with ``seed`` from the memoised
+    exact distribution, so only the first call per circuit evolves it."""
+    terms = []
+    for axes, coeff, mult, seed in jobs:
+        probs = _exact_distribution(n, phase, axes, noise)
+        est = expectation_from_counts(sample_shots(probs, shots, seed))
+        terms.append(TermEstimate(axes.count("Y"), axes, coeff, mult, est.value, est.error, seed))
+    return tuple(terms)
 
 
-def _recheck_bounds(cfg_n: int, phase: float, poly: MerminPolynomial) -> None:
-    """Raise InvariantError unless ``poly``'s stored LR bound matches brute
-    force and its QM value the GHZ(cfg_n, phase) eigenvalue.  Runs once per
-    catalog entry per process, from ``_checked_setup``."""
-    brute = lr_bound_bruteforce(poly)
-    if abs(brute - poly.lr_bound) > CHECK_TOL:
-        raise InvariantError(
-            f"stored LR bound {poly.lr_bound} disagrees with brute force {brute}"
+def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float, float | None]:
+    """Recompute the entry's LR bound by brute force and its QM value as the
+    GHZ eigenvalue, and compare both with the stored ones.
+
+    Returns the two (name, ok, detail) rows, the brute-force bound and the
+    eigenvalue (None when the GHZ state is not an eigenvector).
+    """
+    label = f"{sc.n}q/{sc.setup.value}"
+    brute = lr_bound_bruteforce(sc.polynomial)
+    rows = [
+        (
+            f"{label} LR bound matches brute force",
+            abs(brute - sc.lr_bound) <= CHECK_TOL,
+            f"stored {sc.lr_bound}, brute {brute}",
         )
-    lam = eigencheck(poly, ghz_state(cfg_n, phase))
-    if abs(lam - poly.qm_value) > CHECK_TOL:
-        raise InvariantError(f"stored QM value {poly.qm_value} disagrees with eigenvalue {lam}")
+    ]
+    try:
+        lam = eigencheck(sc.polynomial, ghz_state(sc.n, sc.ghz_phase))
+        ok = abs(lam - sc.qm_value) <= CHECK_TOL
+        detail = f"eigenvalue {lam:.12f}, stored {sc.qm_value:.12f}"
+    except EigencheckError as exc:
+        lam, ok, detail = None, False, str(exc)
+    rows.append((f"{label} GHZ eigenvalue matches QM value", ok, detail))
+    return rows, brute, lam
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -260,7 +273,9 @@ def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryCla
     """The catalog entry and its symmetry classes, bounds rechecked when the
     entry is built; a failed recheck raises and is not memoised."""
     sc = setup_config(n, setup)
-    _recheck_bounds(n, sc.ghz_phase, sc.polynomial)
+    for name, ok, detail in recheck_bounds(sc)[0]:
+        if not ok:
+            raise InvariantError(f"{name}: FAIL ({detail})")
     return sc, tuple(collapse(sc.polynomial))
 
 
@@ -276,13 +291,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     if cfg.expand_permutations:
         jobs = [
-            (s.y_count, str(s), coeff, 1, derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "term", str(s)))
+            (str(s), coeff, 1, derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "term", str(s)))
             for coeff, s in sc.polynomial.terms
         ]
     else:
         jobs = [
             (
-                cl.y_count,
                 "X" * (cfg.qubits - cl.y_count) + "Y" * cl.y_count,
                 cl.coefficient,
                 cl.multiplicity,
@@ -290,19 +304,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
             for cl in classes
         ]
-
-    estimates = [
-        _measure_axes(cfg.qubits, sc.ghz_phase, axes, cfg.shots, seed, cfg.noise)
-        for _, axes, _, _, seed in jobs
-    ]
-    terms = tuple(
-        TermEstimate(y, axes, coeff, mult, est.value, est.error, seed)
-        for (y, axes, coeff, mult, seed), est in zip(jobs, estimates)
+    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, jobs)
+    # A class estimate serves all its copies: weight coefficient * multiplicity.
+    total = polynomial_estimate_expanded(
+        [(float(t.coefficient) * t.multiplicity, Estimate(t.value, t.error)) for t in terms]
     )
-    if cfg.expand_permutations:
-        total = polynomial_estimate_expanded([(t.coefficient, e) for t, e in zip(terms, estimates)])
-    else:
-        total = polynomial_estimate(classes, {t.y_count: e for t, e in zip(terms, estimates)})
 
     violates = total.value - cfg.violation_sigmas * total.error > sc.lr_bound
     genuine: bool | None = None
@@ -338,31 +344,56 @@ def run_exchange_test(
     qubits = _check_qubits(qubits)
     shots = check_int("shots", shots, 1)
     seed = check_int("seed", seed)
-    phase = math.pi / 2
     axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
-    terms = []
-    estimates = []
-    for axes in axes_list:
-        term_seed = derive_seed(seed, "exchange", qubits, axes)
-        est = _measure_axes(qubits, phase, axes, shots, term_seed, noise)
-        estimates.append(est)
-        terms.append(TermEstimate(1, axes, Fraction(1), 1, est.value, est.error, term_seed))
+    jobs = [(axes, Fraction(1), 1, derive_seed(seed, "exchange", qubits, axes)) for axes in axes_list]
+    terms = _measure_terms(qubits, math.pi / 2, shots, noise, jobs)
     return ExchangeReport(
         qubits=qubits,
         shots=shots,
         seed=seed,
         noise=noise,
-        terms=tuple(terms),
-        spread=exchange_spread(estimates),
+        terms=terms,
+        spread=exchange_spread([Estimate(t.value, t.error) for t in terms]),
         published_reference=reference.exchange_results() if qubits == 3 else None,
     )
 
 
-def _render_json(d: dict) -> str:
-    return json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _render(report: ExperimentReport | ExchangeReport, fmt: str, builders: dict[str, Callable]) -> str:
+    """The one format dispatch: 'json' dumps ``report.to_dict()`` (full
+    precision, round-trips); 'csv' and 'md' join the lines of their builder."""
+    if fmt == "json":
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if fmt not in builders:
+        raise ValueError(f"unknown format {fmt!r}; choose one of {RENDER_FORMATS}")
+    return "\n".join(builders[fmt](report)) + "\n"
 
 
-def _render_csv(report: ExperimentReport) -> str:
+def _fmt_pm(value: float, error: float) -> str:
+    return f"{value:.3f} +/- {round_error(error)}"
+
+
+def _md_params(shots: int, seed: int, noise: NoiseModel) -> str:
+    return f"shots {shots}, seed {seed}, noise p1={noise.p1} p2={noise.p2} readout={noise.readout_flip}"
+
+
+def _md_table(
+    terms: tuple[TermEstimate, ...], last: str, sim_last: str, ref: dict | None, ref_last: Callable
+) -> list[str]:
+    """One column per term plus a ``last`` column: the simulated row, then a
+    row per published machine whose last cell is ``ref_last(row)``."""
+    out = [
+        "| source | " + " | ".join(f"<{t.axes}>" for t in terms) + f" | {last} |",
+        "|" + "---|" * (len(terms) + 2),
+        "| simulated | " + " | ".join(_fmt_pm(t.value, t.error) for t in terms) + f" | {sim_last} |",
+    ]
+    if ref is not None:
+        for machine, row in ref["rows"].items():
+            cells = [f"{v:.3f} +/- {ref['term_error']}" for v in row["terms"]]
+            out.append(f"| {machine} (published) | " + " | ".join(cells) + f" | {ref_last(row)} |")
+    return out
+
+
+def _csv_lines(report: ExperimentReport) -> list[str]:
     lines = ["row,y_count,axes,coefficient,multiplicity,value,error,error_rounded"]
     for t in report.terms:
         lines.append(
@@ -372,39 +403,27 @@ def _render_csv(report: ExperimentReport) -> str:
     lines.append(
         f"result,,,,,{report.value!r},{report.error!r},{round_error(report.error)!r}"
     )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _fmt_pm(value: float, error: float) -> str:
-    return f"{value:.3f} +/- {round_error(error)}"
-
-
-def _render_md(report: ExperimentReport) -> str:
+def _md_lines(report: ExperimentReport) -> list[str]:
     cfg = report.config
     ref = report.published_reference
-    header = [f"<{t.axes}>" for t in report.terms]
+    # Expanded runs have per-permutation columns the published table lacks.
+    if cfg.expand_permutations or ref["columns"] != [t.axes for t in report.terms]:
+        ref = None
     out = [
         f"# Mermin test: {cfg.qubits} qubits, setup {cfg.setup.value}",
         "",
-        f"shots {cfg.shots}, seed {cfg.seed}, noise p1={cfg.noise.p1} p2={cfg.noise.p2} "
-        f"readout={cfg.noise.readout_flip}, expanded={cfg.expand_permutations}",
+        _md_params(cfg.shots, cfg.seed, cfg.noise) + f", expanded={cfg.expand_permutations}",
         "",
-        "| source | " + " | ".join(header) + " | result |",
-        "|" + "---|" * (len(header) + 2),
-    ]
-    sim_cells = [_fmt_pm(t.value, t.error) for t in report.terms]
-    out.append(
-        "| simulated | " + " | ".join(sim_cells) + f" | {_fmt_pm(report.value, report.error)} |"
-    )
-    if not cfg.expand_permutations and ref["columns"] == [t.axes for t in report.terms]:
-        for machine, row in ref["rows"].items():
-            cells = [f"{v:.3f} +/- {ref['term_error']}" for v in row["terms"]]
-            out.append(
-                f"| {machine} (published) | "
-                + " | ".join(cells)
-                + f" | {row['result']:.2f} +/- {ref['result_error']} |"
-            )
-    out += [
+        *_md_table(
+            report.terms,
+            "result",
+            _fmt_pm(report.value, report.error),
+            ref,
+            lambda row: f"{row['result']:.2f} +/- {ref['result_error']}",
+        ),
         "",
         f"LR bound {report.lr_bound}, QM value {report.qm_value:.6f}, "
         f"verdict **{report.verdict}** "
@@ -415,53 +434,40 @@ def _render_md(report: ExperimentReport) -> str:
         out.append(
             f"genuine four-party nonlocality: value {state} {GENUINE_FOURPARTY_BOUND}"
         )
-    return "\n".join(out) + "\n"
+    return out
+
+
+def _exchange_csv_lines(report: ExchangeReport) -> list[str]:
+    lines = ["row,axes,value,error,error_rounded"]
+    for t in report.terms:
+        lines.append(f"term,{t.axes},{t.value!r},{t.error!r},{round_error(t.error)!r}")
+    lines.append(f"spread,,{report.spread!r},,")
+    return lines
+
+
+def _exchange_md_lines(report: ExchangeReport) -> list[str]:
+    return [
+        f"# Exchange test: {report.qubits} qubits",
+        "",
+        _md_params(report.shots, report.seed, report.noise),
+        "",
+        *_md_table(
+            report.terms,
+            "spread",
+            f"{report.spread:.4f}",
+            report.published_reference,
+            lambda row: f"{row['spread']:.3f}",
+        ),
+    ]
 
 
 def render_report(report: ExperimentReport, fmt: str = "json") -> str:
     """Render to 'json' (full precision, round-trips), 'csv', or 'md'."""
-    if fmt == "json":
-        return _render_json(report.to_dict())
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "md":
-        return _render_md(report)
-    raise ValueError(f"unknown format {fmt!r}; choose one of {RENDER_FORMATS}")
+    return _render(report, fmt, {"csv": _csv_lines, "md": _md_lines})
 
 
 def render_exchange_report(report: ExchangeReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return _render_json(report.to_dict())
-    if fmt == "csv":
-        lines = ["row,axes,value,error,error_rounded"]
-        for t in report.terms:
-            lines.append(f"term,{t.axes},{t.value!r},{t.error!r},{round_error(t.error)!r}")
-        lines.append(f"spread,,{report.spread!r},,")
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        out = [
-            f"# Exchange test: {report.qubits} qubits",
-            "",
-            f"shots {report.shots}, seed {report.seed}, noise p1={report.noise.p1} "
-            f"p2={report.noise.p2} readout={report.noise.readout_flip}",
-            "",
-            "| source | " + " | ".join(f"<{t.axes}>" for t in report.terms) + " | spread |",
-            "|" + "---|" * (len(report.terms) + 2),
-            "| simulated | "
-            + " | ".join(_fmt_pm(t.value, t.error) for t in report.terms)
-            + f" | {report.spread:.4f} |",
-        ]
-        ref = report.published_reference
-        if ref is not None:
-            for machine, row in ref["rows"].items():
-                cells = [f"{v:.3f} +/- {ref['term_error']}" for v in row["terms"]]
-                out.append(
-                    f"| {machine} (published) | "
-                    + " | ".join(cells)
-                    + f" | {row['spread']:.3f} |"
-                )
-        return "\n".join(out) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; choose one of {RENDER_FORMATS}")
+    return _render(report, fmt, {"csv": _exchange_csv_lines, "md": _exchange_md_lines})
 
 
 def verify_invariants() -> list[tuple[str, bool, str]]:
@@ -471,23 +477,8 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
     for sc in all_setup_configs():
         n = sc.n
-        label = f"{n}q/{sc.setup.value}"
-        brute = lr_bound_bruteforce(sc.polynomial)
-        results.append(
-            (
-                f"{label} LR bound matches brute force",
-                abs(brute - sc.lr_bound) <= CHECK_TOL,
-                f"stored {sc.lr_bound}, brute {brute}",
-            )
-        )
+        results += recheck_bounds(sc)[0]
         state = ghz_state(n, sc.ghz_phase)
-        try:
-            lam = eigencheck(sc.polynomial, state)
-            ok = abs(lam - sc.qm_value) <= CHECK_TOL
-            detail = f"eigenvalue {lam:.12f}, stored {sc.qm_value:.12f}"
-        except Exception as exc:  # EigencheckError carries the residual
-            ok, detail = False, str(exc)
-        results.append((f"{label} GHZ eigenvalue matches QM value", ok, detail))
         closed_ok = True
         worst = 0.0
         signs = (1 - 2 * mask_parity(np.arange(1 << n), (1 << n) - 1)).tolist()
@@ -506,7 +497,7 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
             closed_ok &= abs(parity - got) <= 1e-10
         results.append(
             (
-                f"{label} class expectations match cos(phase - Y*pi/2) and circuit parity",
+                f"{n}q/{sc.setup.value} class expectations match cos(phase - Y*pi/2) and circuit parity",
                 closed_ok,
                 f"worst deviation {worst:.2e}",
             )

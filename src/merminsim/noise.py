@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, run
+from .sampling import check_real
 from .statevector import Gate, apply_gate_inplace, probabilities
 
 
@@ -28,9 +29,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "readout_flip"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))
 
     @property
     def is_zero(self) -> bool:

@@ -48,6 +48,15 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
     return int(value)
 
 
+def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
+    """``value`` as a plain float in [minimum, maximum]; bools, strings, nan and inf are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if not minimum <= value <= maximum:
+        raise ValueError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ShotCounts:
     """Outcome histogram of one measured circuit: ``vector[i]`` shots gave
@@ -130,23 +139,19 @@ def polynomial_estimate(
     measured number serves all multiplicity copies, so its error enters with
     the full weight (coefficient * multiplicity), not its square root.
     """
-    value = 0.0
-    var = 0.0
+    parts = []
     for cl in classes:
         if cl.y_count not in term_estimates:
             raise ValueError(f"missing estimate for Y={cl.y_count} class")
-        est = term_estimates[cl.y_count]
-        weight = float(cl.coefficient) * cl.multiplicity
-        value += weight * est.value
-        var += weight * weight * est.error * est.error
-    return Estimate(value, math.sqrt(var))
+        parts.append((float(cl.coefficient) * cl.multiplicity, term_estimates[cl.y_count]))
+    return polynomial_estimate_expanded(parts)
 
 
 def polynomial_estimate_expanded(
     parts: Sequence[tuple[Fraction | float, Estimate]],
 ) -> Estimate:
-    """Combine independently measured per-term estimates: errors add in quadrature
-    with each term's own coefficient."""
+    """Combine independent measurements, each with its weight (a term's coefficient,
+    or a class's coefficient * multiplicity): errors add in quadrature."""
     value = 0.0
     var = 0.0
     for coeff, est in parts:

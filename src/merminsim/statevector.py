@@ -60,16 +60,6 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} does not take an angle")
 
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "targets": list(self.targets)}
-        if self.angle is not None:
-            d["angle"] = self.angle
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gate":
-        return cls(d["kind"], tuple(d["targets"]), d.get("angle"))
-
 
 @dataclass
 class Statevector:
@@ -92,9 +82,6 @@ class Statevector:
 
     def copy(self) -> "Statevector":
         return Statevector(self.n, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def init_zero(n: int) -> Statevector:
@@ -156,15 +143,6 @@ def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
         amp[..., i1] = a0
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Return a new state with ``gate`` applied; the input is left untouched."""
-    if max(gate.targets) >= state.n:
-        raise ValueError(f"gate {gate.kind} targets {gate.targets} but n={state.n}")
-    out = state.copy()
-    apply_gate_inplace(out.amplitudes, state.n, gate)
-    return out
 
 
 def probabilities(state: Statevector) -> np.ndarray:

@@ -136,11 +136,14 @@ def test_non_finite_report_exits_one(monkeypatch, capsys):
     assert "invalid configuration" in captured.err
 
 
-@pytest.mark.parametrize("field", ["lr_bound", "qm_value"])
+@pytest.mark.parametrize("field", ["lr_bound", "qm_value", "ghz_phase"])
 def test_corrupted_catalog_entry_exits_two(field, monkeypatch, capsys):
-    # A stored bound off by one must stop every report and the bounds audit.
+    # A stored bound off by one, or a GHZ phase the polynomial no longer has
+    # as an eigenvector, must stop every report and the bounds audit.
     def corrupted(n, setup):
         sc = setup_config(n, setup)
+        if field == "ghz_phase":
+            return dataclasses.replace(sc, ghz_phase=sc.ghz_phase + 0.3)
         poly = dataclasses.replace(sc.polynomial, **{field: getattr(sc.polynomial, field) + 1})
         return dataclasses.replace(sc, polynomial=poly)
 

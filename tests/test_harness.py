@@ -94,6 +94,29 @@ def test_config_rejects_non_integral_or_bool_qubits(qubits):
         run_exchange_test(qubits=qubits)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("expand_permutations", "no"),
+        ("expand_permutations", 1),
+        ("expand_permutations", float("nan")),
+        ("violation_sigmas", True),
+        ("violation_sigmas", "3"),
+        ("violation_sigmas", float("nan")),
+    ],
+    ids=["flag-str", "flag-int", "flag-nan", "sigmas-bool", "sigmas-str", "sigmas-nan"],
+)
+def test_config_rejects_mistyped_flag_and_sigmas(field, bad):
+    # "no" used to run the expanded measurement and True was reported as true.
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(qubits=3, setup="mermin", **{field: bad})
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    payload["config"][field] = bad
+    with pytest.raises(ValueError, match=field):
+        ExperimentReport.from_dict(payload)
+    assert type(ExperimentConfig(qubits=3, setup="mermin", violation_sigmas=3).violation_sigmas) is float
+
+
 def test_config_accepts_negative_and_numpy_integer_seeds():
     cfg = ExperimentConfig(qubits=np.int64(3), setup="mermin", seed=np.int64(-5))
     assert type(cfg.qubits) is int and type(cfg.seed) is int
@@ -224,7 +247,15 @@ def test_exchange_render_formats():
 
 
 def test_verify_invariants_all_pass():
+    checks = (
+        "LR bound matches brute force",
+        "GHZ eigenvalue matches QM value",
+        "class expectations match cos(phase - Y*pi/2) and circuit parity",
+    )
     rows = verify_invariants()
-    assert len(rows) >= 27  # three checks per setup at minimum
+    assert [name for name, _, _ in rows] == [
+        f"{sc.n}q/{sc.setup.value} {check}" for sc in all_setup_configs() for check in checks
+    ]
+    assert len(rows) == 27
     for name, ok, detail in rows:
         assert ok, f"{name}: {detail}"

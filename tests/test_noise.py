@@ -11,6 +11,7 @@ from conftest import dense_noisy_probabilities, trajectory_counts
 from merminsim import (
     Circuit,
     ExperimentConfig,
+    ExperimentReport,
     NoiseModel,
     PauliString,
     all_setup_configs,
@@ -78,6 +79,20 @@ def test_noise_model_validation():
 def test_noise_model_dict_round_trip():
     model = NoiseModel(0.01, 0.02, 0.03)
     assert NoiseModel.from_dict(model.to_dict()) == model
+
+
+@pytest.mark.parametrize("bad", [True, "0.1", float("nan")], ids=["bool", "str", "nan"])
+@pytest.mark.parametrize("field", ["p1", "p2", "readout_flip"])
+def test_noise_model_rejects_non_real_fields(field, bad):
+    # A bool would be reported as true and a string would fail with TypeError.
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: bad})
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    payload["config"]["noise"][field] = bad
+    with pytest.raises(ValueError, match=field):
+        ExperimentReport.from_dict(payload)
+    # Integral probabilities are stored, and reported, as floats.
+    assert type(NoiseModel(**{field: 1}).to_dict()[field]) is float
 
 
 def test_zero_noise_sampler_matches_exact_distribution():
