@@ -52,14 +52,9 @@ def measurement_transform(p: PauliString) -> Circuit:
     return Circuit(p.n, tuple(gates))
 
 
-def run(c: Circuit, initial: Statevector | None = None) -> Statevector:
-    """Apply the circuit to |0...0> (or to a copy of ``initial``)."""
-    if initial is None:
-        state = init_zero(c.n)
-    else:
-        if initial.n != c.n:
-            raise ValueError("initial state size does not match circuit")
-        state = initial.copy()
+def run(c: Circuit) -> Statevector:
+    """Apply the circuit to |0...0>."""
+    state = init_zero(c.n)
     for g in c.gates:
         apply_gate_inplace(state.amplitudes, c.n, g)
     return state

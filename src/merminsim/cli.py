@@ -23,17 +23,7 @@ from .harness import (
 )
 from .lhv import lr_bound_formula
 from .noise import NoiseModel
-from .polynomials import EigencheckError
 from .circuits import QUBIT_COUNTS, SETUP_IDS, setup_config
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        raise _UsageError(message)
 
 
 def _parse_noise(text: str) -> NoiseModel:
@@ -108,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="merminsim", description=__doc__)
+    parser = argparse.ArgumentParser(prog="merminsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one violation experiment")
@@ -147,14 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"merminsim: error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help exits 0; a usage error exits 2 in argparse, 1 here
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (InvariantError, EigencheckError) as exc:  # before ValueError, its base
+    except InvariantError as exc:
         print(f"merminsim: internal invariant failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

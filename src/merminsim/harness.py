@@ -23,7 +23,7 @@ from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_c
 from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PauliString, mask_parity
+from .pauli import PauliString, exact_expectation, mask_parity
 from .polynomials import CHECK_TOL, EigencheckError, MerminPolynomial, SymmetryClass, collapse, eigencheck
 from .sampling import (
     Estimate,
@@ -60,6 +60,12 @@ def _check_qubits(qubits: int) -> int:
     return qubits
 
 
+def _check_noise(noise: object) -> NoiseModel:
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
+    return noise
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubits: int
@@ -75,6 +81,7 @@ class ExperimentConfig:
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
         object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed))
+        _check_noise(self.noise)
         if not isinstance(self.expand_permutations, bool):
             raise ValueError(f"expand_permutations must be a bool, got {self.expand_permutations!r}")
         sigmas = check_real("violation_sigmas", self.violation_sigmas, 0.0)
@@ -344,6 +351,7 @@ def run_exchange_test(
     qubits = _check_qubits(qubits)
     shots = check_int("shots", shots, 1)
     seed = check_int("seed", seed)
+    noise = _check_noise(noise)
     axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
     jobs = [(axes, Fraction(1), 1, derive_seed(seed, "exchange", qubits, axes)) for axes in axes_list]
     terms = _measure_terms(qubits, math.pi / 2, shots, noise, jobs)
@@ -472,8 +480,6 @@ def render_exchange_report(report: ExchangeReport, fmt: str = "json") -> str:
 
 def verify_invariants() -> list[tuple[str, bool, str]]:
     """Fast self-checks over all nine setups; returns (name, ok, detail) rows."""
-    from .pauli import exact_expectation  # local import keeps module load light
-
     results: list[tuple[str, bool, str]] = []
     for sc in all_setup_configs():
         n = sc.n

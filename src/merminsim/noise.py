@@ -40,6 +40,8 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
+        if not isinstance(d, dict):
+            raise ValueError(f"noise must be a mapping with p1, p2 and readout_flip, got {d!r}")
         return cls(d["p1"], d["p2"], d["readout_flip"])
 
 
@@ -55,7 +57,7 @@ def _conjugate(gate: Gate) -> Gate:
         return Gate("S", gate.targets)
     if gate.kind == "PHASE":
         return Gate("PHASE", gate.targets, -gate.angle)
-    return gate  # H, X and CNOT are real
+    return gate  # H and CNOT are real
 
 
 def _qubit_blocks(a: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -76,29 +76,6 @@ class ShotCounts:
     def total(self) -> int:
         return sum(self.vector)
 
-    @property
-    def counts(self) -> dict[str, int]:
-        """The nonzero bins keyed by bit string, in ascending order."""
-        return {format(i, f"0{self.n}b"): c for i, c in enumerate(self.vector) if c}
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "total": self.total, "counts": self.counts}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShotCounts":
-        n = check_int("n", d["n"], 1)
-        if n > MAX_QUBITS:
-            raise ValueError(f"n must be <= {MAX_QUBITS}, got {n}")
-        vector = [0] * (1 << n)
-        for key, c in d["counts"].items():
-            if len(key) != n or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r} for n={n}")
-            vector[int(key, 2)] = check_int(f"count of {key!r}", c, 0)
-        counts = cls(n, tuple(vector))
-        if counts.total != d["total"]:
-            raise ValueError("counts do not sum to the stated total")
-        return counts
-
 
 def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
     """Draw a multinomial outcome histogram; identical seeds give identical counts."""

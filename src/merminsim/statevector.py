@@ -21,7 +21,7 @@ import numpy as np
 
 MAX_QUBITS = 8
 
-GATE_KINDS = frozenset({"H", "S", "SDG", "PHASE", "X", "CNOT"})
+GATE_KINDS = frozenset({"H", "S", "SDG", "PHASE", "CNOT"})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -33,7 +33,7 @@ def qubit_bit(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: kind in {H, S, SDG, PHASE, X, CNOT}, targets, optional angle.
+    """One gate: kind in {H, S, SDG, PHASE, CNOT}, targets, optional angle.
 
     CNOT targets are (control, target).  Only PHASE carries an angle.
     """
@@ -80,9 +80,6 @@ class Statevector:
     def dim(self) -> int:
         return 1 << self.n
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n, self.amplitudes.copy())
-
 
 def init_zero(n: int) -> Statevector:
     """The all-zeros computational basis state |00...0>."""
@@ -103,14 +100,6 @@ def ghz_state(n: int, phase: float) -> Statevector:
     return Statevector(n, amp)
 
 
-def _pair_indices(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (bit q clear, bit q set) over all 2**n basis states."""
-    bit = qubit_bit(n, q)
-    idx = np.arange(1 << n)
-    i0 = idx[(idx & bit) == 0]
-    return i0, i0 | bit
-
-
 def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
     """Apply one gate to an amplitude buffer (last axis = basis index)."""
     if gate.kind == "CNOT":
@@ -124,23 +113,21 @@ def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
         amp[..., dst] = low
         return
     (q,) = gate.targets
-    i0, i1 = _pair_indices(n, q)
+    # Splitting the last axis as (higher bits, bit q, lower bits) is a view,
+    # also of a non-contiguous buffer such as rho.T, so writes land in amp.
+    split = amp.reshape(amp.shape[:-1] + (1 << q, 2, 1 << (n - 1 - q)))
+    a0, a1 = split[..., 0, :], split[..., 1, :]
     if gate.kind == "H":
-        a0 = amp[..., i0]
-        a1 = amp[..., i1]
-        amp[..., i0] = (a0 + a1) * _INV_SQRT2
-        amp[..., i1] = (a0 - a1) * _INV_SQRT2
+        plus = (a0 + a1) * _INV_SQRT2
+        minus = (a0 - a1) * _INV_SQRT2
+        a0[...] = plus
+        a1[...] = minus
     elif gate.kind == "S":
-        amp[..., i1] = amp[..., i1] * 1j
+        a1 *= 1j
     elif gate.kind == "SDG":
-        amp[..., i1] = amp[..., i1] * (-1j)
+        a1 *= -1j
     elif gate.kind == "PHASE":
-        factor = complex(math.cos(gate.angle), math.sin(gate.angle))
-        amp[..., i1] = amp[..., i1] * factor
-    elif gate.kind == "X":
-        a0 = amp[..., i0]
-        amp[..., i0] = amp[..., i1]
-        amp[..., i1] = a0
+        a1 *= complex(math.cos(gate.angle), math.sin(gate.angle))
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 

@@ -54,8 +54,6 @@ def dense_gate_matrix(gate: Gate, n: int) -> np.ndarray:
         return embed(_S, gate.targets[0], n)
     if gate.kind == "SDG":
         return embed(_S.conj().T, gate.targets[0], n)
-    if gate.kind == "X":
-        return embed(_X, gate.targets[0], n)
     if gate.kind == "PHASE":
         return embed(np.diag([1, np.exp(1j * gate.angle)]), gate.targets[0], n)
     if gate.kind == "CNOT":

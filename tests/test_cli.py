@@ -94,11 +94,17 @@ def test_verify_command(capsys):
         ["run", "--qubits", "3", "--setup", "bogus"],
         ["bogus-command"],
         [],
+        ["run", "--workers", "2"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
+    # argparse prints its usage and error lines, but the exit code is 1, not its 2.
     assert main(argv) == 1
-    capsys.readouterr()  # swallow the argparse message
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: merminsim")
+    assert lines[-1].startswith("merminsim") and ": error: " in lines[-1]
 
 
 def test_bad_noise_string_exits_one(capsys):

@@ -3,6 +3,8 @@ trajectory oracle, and determinism."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +23,7 @@ from merminsim import (
     outcome_probabilities,
     probabilities,
     run,
+    run_exchange_test,
     run_experiment,
     sample_shots,
 )
@@ -95,6 +98,19 @@ def test_noise_model_rejects_non_real_fields(field, bad):
     assert type(NoiseModel(**{field: 1}).to_dict()[field]) is float
 
 
+@pytest.mark.parametrize("bad", [None, (0.1, 0.0, 0.0), "0,0,0"], ids=["none", "tuple", "str"])
+def test_noise_that_is_not_a_noise_model_is_rejected(bad):
+    # A wrong type must fail where it enters, with ValueError, not deep inside the noise path.
+    with pytest.raises(ValueError, match="noise"):
+        ExperimentConfig(qubits=3, setup="mermin", noise=bad)
+    with pytest.raises(ValueError, match="noise"):
+        run_exchange_test(noise=bad)
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    payload["config"]["noise"] = json.loads(json.dumps(bad))
+    with pytest.raises(ValueError, match="noise"):
+        ExperimentReport.from_dict(payload)
+
+
 def test_zero_noise_sampler_matches_exact_distribution():
     # Goodness of fit of the noisy sampler at zero noise against the exact
     # four-outcome distribution of a rotated GHZ circuit.
@@ -148,14 +164,14 @@ def test_full_readout_scrambling_is_uniform():
 
 def test_single_trajectory_zero_noise_support():
     counts = trajectory_counts(ghz_circuit(3, 0.0), NoiseModel(), 50, seed=7)
-    assert set(counts.counts) == {"000", "111"}
+    assert {i for i, c in enumerate(counts.vector) if c} == {0b000, 0b111}
 
 
 def test_certain_readout_flip_inverts_bits():
     # Empty circuit leaves |00>; a certain readout flip reports "11".
     circuit = Circuit(2, ())
     model = NoiseModel(readout_flip=1.0)
-    assert trajectory_counts(circuit, model, 16, seed=0).counts == {"11": 16}
+    assert trajectory_counts(circuit, model, 16, seed=0).vector == (0, 0, 0, 16)
     np.testing.assert_array_equal(outcome_probabilities(circuit, model), [0.0, 0.0, 0.0, 1.0])
 
 

@@ -17,7 +17,9 @@ from merminsim.statevector import (
 
 def _apply(state: Statevector, gate: Gate) -> Statevector:
     """A new state with one gate applied; the input is left untouched."""
-    return run(Circuit(state.n, (gate,)), state)
+    amp = state.amplitudes.copy()
+    apply_gate_inplace(amp, state.n, gate)
+    return Statevector(state.n, amp)
 
 
 def test_init_zero_is_all_zeros_ket():
@@ -40,20 +42,12 @@ def test_qubit_bit_is_msb_first():
     assert qubit_bit(3, 2) == 1
 
 
-def test_x_gate_flips_msb_qubit():
-    state = _apply(init_zero(3), Gate("X", (0,)))
-    assert state.amplitudes[4] == 1.0
-    assert abs(state.amplitudes).sum() == 1.0
-
-
 def test_cnot_truth_table():
     # |10> -> |11> with control on qubit 0.
-    state = _apply(init_zero(2), Gate("X", (0,)))
-    state = _apply(state, Gate("CNOT", (0, 1)))
+    state = _apply(Statevector(2, [0, 0, 1, 0]), Gate("CNOT", (0, 1)))
     np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
     # Control clear: |01> stays |01>.
-    state = _apply(init_zero(2), Gate("X", (1,)))
-    state = _apply(state, Gate("CNOT", (0, 1)))
+    state = _apply(Statevector(2, [0, 1, 0, 0]), Gate("CNOT", (0, 1)))
     np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-12)
 
 
@@ -94,7 +88,7 @@ def test_sdg_then_h_on_plus_i_eigenstate():
     np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["H", "S", "SDG", "X"])
+@pytest.mark.parametrize("kind", ["H", "S", "SDG"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_single_qubit_gates_match_dense_oracle(kind, n):
     rng = np.random.default_rng(100 * n + ord(kind[0]))
@@ -125,7 +119,7 @@ def test_random_circuit_matches_dense_oracle():
     for _ in range(10):
         gates = []
         for _ in range(12):
-            kind = rng.choice(["H", "S", "SDG", "X", "PHASE", "CNOT"])
+            kind = rng.choice(["H", "S", "SDG", "PHASE", "CNOT"])
             if kind == "CNOT":
                 c, t = rng.choice(n, size=2, replace=False)
                 gates.append(Gate("CNOT", (int(c), int(t))))
@@ -166,6 +160,8 @@ def test_gate_validation():
         Gate("H", (0, 1))
     with pytest.raises(ValueError):
         Gate("BOGUS", (0,))
+    with pytest.raises(ValueError):
+        Gate("X", (0,))
 
 
 def test_inplace_kernel_handles_batched_amplitudes():
@@ -181,3 +177,24 @@ def test_inplace_kernel_handles_batched_amplitudes():
             single = amps[row].copy()
             apply_gate_inplace(single, n, gate)
             np.testing.assert_allclose(batched[row], single, atol=1e-12)
+
+
+def test_inplace_kernel_writes_through_non_contiguous_buffers():
+    # The noisy path hands the kernel rho.T, whose last axis is strided; the
+    # gate must land in rho itself, not in a temporary copy of it.
+    rng = np.random.default_rng(78)
+    n = 3
+    rho = np.outer(random_state(n, rng), random_state(n, rng).conj())
+    rows = np.stack([random_state(n, rng) for _ in range(6)])
+    gates = [Gate(kind, (q,)) for kind in ("H", "S", "SDG") for q in range(n)]
+    gates += [Gate("PHASE", (q,), float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+    gates += [Gate("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
+    for gate in gates:
+        dense = dense_gate_matrix(gate, n)
+        work = rho.copy()
+        apply_gate_inplace(work.T, n, gate)
+        np.testing.assert_allclose(work, dense @ rho, atol=1e-12, err_msg=str(gate))
+        work = rows.copy()
+        apply_gate_inplace(work[::2], n, gate)
+        np.testing.assert_allclose(work[::2], rows[::2] @ dense.T, atol=1e-12, err_msg=str(gate))
+        np.testing.assert_array_equal(work[1::2], rows[1::2])
