@@ -42,7 +42,10 @@ class NoiseModel:
     def from_dict(cls, d: dict) -> "NoiseModel":
         if not isinstance(d, dict):
             raise ValueError(f"noise must be a mapping with p1, p2 and readout_flip, got {d!r}")
-        return cls(d["p1"], d["p2"], d["readout_flip"])
+        try:
+            return cls(d["p1"], d["p2"], d["readout_flip"])
+        except KeyError as exc:
+            raise ValueError(f"noise lacks field {exc.args[0]!r}") from None
 
 
 def _gate_noise_prob(gate: Gate, model: NoiseModel) -> float:

@@ -7,8 +7,6 @@ Keys are (qubits, setup id); the three 3-qubit setups share one table.
 
 from __future__ import annotations
 
-from copy import deepcopy
-
 MACHINES = ("Vigo", "Ourense", "Valencia", "Essex", "IBMqx2")
 
 # Best published value per experiment family: (value, error), plus the bounds
@@ -141,13 +139,23 @@ EXCHANGE = {
 }
 
 
+def _copy_table(table: dict) -> dict:
+    """A copy of a published table that shares nothing mutable with it: the
+    column list, the rows and each row's term list are new, in the same key
+    order; the numbers and strings are immutable and shared."""
+    out = dict(table)
+    out["columns"] = list(table["columns"])
+    out["rows"] = {machine: {**row, "terms": list(row["terms"])} for machine, row in table["rows"].items()}
+    return out
+
+
 def device_results(n: int, setup_key: str) -> dict:
     """Published per-device rows for one (qubits, setup) combination."""
     key = (n, setup_key)
     if key not in _TABLES:
         raise KeyError(f"no published table for {key}")
-    return deepcopy(_TABLES[key])
+    return _copy_table(_TABLES[key])
 
 
 def exchange_results() -> dict:
-    return deepcopy(EXCHANGE)
+    return _copy_table(EXCHANGE)

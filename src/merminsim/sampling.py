@@ -77,21 +77,41 @@ class ShotCounts:
         return sum(self.vector)
 
 
-def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
-    """Draw a multinomial outcome histogram; identical seeds give identical counts."""
+def checked_weights(probs: np.ndarray) -> np.ndarray:
+    """The multinomial weights of an outcome distribution, as a new read-only
+    array: ``probs`` must be finite, of power-of-two length, nowhere below
+    -1e-12 and sum to 1 within 1e-9; rounding negatives are clipped to 0 and
+    the vector is divided by its sum."""
     probs = np.asarray(probs, dtype=float)
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
+    # Before any arithmetic: nan passes both comparisons below, and inf - inf warns.
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite probability")
     if np.any(probs < -1e-12):
         raise ValueError("negative probability")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total}, not 1")
     n = int(round(math.log2(probs.size)))
     if 1 << n != probs.size:
         raise ValueError(f"probability vector length {probs.size} is not a power of two")
-    rng = np.random.default_rng(seed)
-    vec = rng.multinomial(shots, np.clip(probs, 0.0, None) / probs.sum())
-    return ShotCounts(n, tuple(vec.tolist()))
+    weights = np.clip(probs, 0.0, None) / total
+    weights.setflags(write=False)
+    return weights
+
+
+def draw_shots(weights: np.ndarray, shots: int, seed: int) -> ShotCounts:
+    """One multinomial histogram of ``shots`` draws from ``checked_weights``
+    output; identical seeds give identical counts."""
+    if shots < 1:
+        raise ValueError(f"need at least one shot, got {shots}")
+    vec = np.random.default_rng(seed).multinomial(shots, weights)
+    return ShotCounts(weights.size.bit_length() - 1, tuple(vec.tolist()))
+
+
+def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
+    """Draw a multinomial outcome histogram from a checked outcome distribution;
+    identical seeds give identical counts."""
+    return draw_shots(checked_weights(probs), shots, seed)
 
 
 def expectation_from_counts(counts: ShotCounts) -> Estimate:

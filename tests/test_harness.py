@@ -131,6 +131,31 @@ def test_report_from_dict_rejects_fractional_seed():
         ExperimentReport.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("config",),
+        ("config", "seed"),
+        ("config", "noise", "p2"),
+        ("terms", 0, "seed"),
+        ("result", "error"),
+        ("polynomial", "lr_bound"),
+        ("polynomial", "terms", 1, "axes"),
+        ("verdict",),
+    ],
+    ids=lambda path: "-".join(map(str, path)),
+)
+def test_report_from_dict_names_a_missing_field(path):
+    # A trimmed stored report used to fail with KeyError.
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    section = payload
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    with pytest.raises(ValueError, match=f"lacks field '{path[-1]}'"):
+        ExperimentReport.from_dict(payload)
+
+
 def test_json_render_rejects_non_finite_numbers():
     report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
     with pytest.raises(ValueError):

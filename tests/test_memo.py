@@ -1,14 +1,32 @@
-"""The per-process memo of checked catalog entries and exact distributions:
-a warm memo changes no report byte, shares only read-only arrays and stays
-within its bound."""
+"""The per-process memo of checked catalog entries and checked multinomial
+weights: a warm memo changes no report byte, draws exactly what
+``sample_shots`` draws, shares only read-only arrays, memoises nothing that
+fails its checks and stays within its bound."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from merminsim import ExperimentConfig, NoiseModel, Setup, render_report, run_experiment
+from merminsim import (
+    ExperimentConfig,
+    NoiseModel,
+    PauliString,
+    Setup,
+    all_setup_configs,
+    ghz_circuit,
+    measurement_transform,
+    outcome_probabilities,
+    render_report,
+    run_exchange_test,
+    run_experiment,
+    sample_shots,
+)
+from merminsim import harness
 from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.sampling import draw_shots
 
 CELLS = [
     pytest.param(n, setup, expand, noise, id=f"{n}q-{setup.value}-{mode}-p{noise.p1}")
@@ -56,3 +74,44 @@ def test_distribution_memo_stays_within_its_bound():
         assert _exact_distribution.cache_info().currsize <= maxsize
     assert _exact_distribution.cache_info().currsize == maxsize
     assert _checked_setup.cache_info().maxsize is not None
+
+
+def _measured_circuits(noise: NoiseModel) -> set[tuple[int, float, str]]:
+    """(qubits, GHZ phase, axes) of every circuit the reports measure: all nine
+    setups in class and expanded mode, and the 3/4/5-qubit exchange tests."""
+    circuits = set()
+    for sc in all_setup_configs():
+        for expand in (False, True):
+            cfg = ExperimentConfig(qubits=sc.n, setup=sc.setup, noise=noise, expand_permutations=expand)
+            circuits |= {(sc.n, sc.ghz_phase, t.axes) for t in run_experiment(cfg).terms}
+    for n in (3, 4, 5):
+        circuits |= {(n, math.pi / 2, t.axes) for t in run_exchange_test(noise=noise, qubits=n).terms}
+    return circuits
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.02, 0.02, 0.02)], ids=["clean", "p0.02"])
+def test_memoised_weights_draw_what_sample_shots_draws(noise):
+    # Pins report bytes to the documented composition without fixing numpy's draws.
+    circuits = _measured_circuits(noise)
+    assert len(circuits) == 92  # distinct circuits; the three 3-qubit setups share theirs
+    for n, phase, axes in sorted(circuits):
+        circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
+        probs = outcome_probabilities(circuit, noise)
+        weights = _exact_distribution(n, phase, axes, noise)
+        for seed in (0, 12345, 2**62 + 1):
+            assert draw_shots(weights, 16384, seed).vector == sample_shots(probs, 16384, seed).vector
+
+
+@pytest.mark.parametrize(
+    "bad", [np.full(8, np.nan), np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0])], ids=["nan", "negative"]
+)
+def test_distribution_failing_its_checks_is_not_memoised(monkeypatch, bad):
+    run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
+    size = _exact_distribution.cache_info().currsize
+    monkeypatch.setattr(harness, "outcome_probabilities", lambda circuit, noise: bad.copy())
+    cfg = ExperimentConfig(qubits=3, setup="mermin", noise=NoiseModel(0.01))
+    with pytest.raises(ValueError, match="probability"):
+        run_experiment(cfg)
+    assert _exact_distribution.cache_info().currsize == size
+    monkeypatch.undo()
+    assert run_experiment(cfg).config == cfg

@@ -82,6 +82,11 @@ def test_noise_model_validation():
 def test_noise_model_dict_round_trip():
     model = NoiseModel(0.01, 0.02, 0.03)
     assert NoiseModel.from_dict(model.to_dict()) == model
+    for field in ("p1", "p2", "readout_flip"):
+        trimmed = model.to_dict()
+        del trimmed[field]
+        with pytest.raises(ValueError, match=f"lacks field '{field}'"):
+            NoiseModel.from_dict(trimmed)
 
 
 @pytest.mark.parametrize("bad", [True, "0.1", float("nan")], ids=["bool", "str", "nan"])

@@ -40,9 +40,19 @@ def test_three_qubit_table_is_shared_across_setups():
 
 
 def test_device_results_returns_isolated_copies():
-    table = device_results(3, "mermin")
-    table["rows"]["Vigo"]["terms"][0] = 99.0
+    for fetch in (lambda: device_results(3, "mermin"), exchange_results):
+        table, fresh = fetch(), fetch()
+        # The copy keeps every key order the renderers iterate in.
+        assert list(table) == list(fresh) and list(table["rows"]) == list(MACHINES)
+        assert all(list(row) == list(fresh["rows"][m]) for m, row in table["rows"].items())
+        table["rows"]["Vigo"]["terms"][0] = 99.0
+        table["rows"]["Vigo"]["extra"] = 1.0
+        table["rows"]["Essex"] = {}
+        table["columns"].append("YYY")
+        table["term_error"] = 1.0
+        assert fetch() == fresh
     assert device_results(3, "mermin")["rows"]["Vigo"]["terms"][0] == 0.835
+    assert exchange_results()["columns"] == ["XXY", "XYX", "YXX"]
 
 
 def test_device_results_unknown_key():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from merminsim import (
     round_error,
     sample_shots,
 )
+from merminsim.sampling import checked_weights, draw_shots
 
 
 def test_point_mass_sampling():
@@ -54,6 +56,33 @@ def test_sample_shots_rejects_bad_distributions():
         sample_shots(np.array([1.5, -0.5]), 16, seed=0)
     with pytest.raises(ValueError):
         sample_shots(np.full(4, 0.25), 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[math.nan] * 8, [math.inf, -math.inf] + [0.0] * 6, [math.inf] + [0.0] * 7],
+    ids=["nan", "inf-minus-inf", "inf"],
+)
+def test_sample_shots_rejects_non_finite_probabilities(probs):
+    # nan passes both the sign and the sum check (every comparison with nan is
+    # false); the check must come first, before inf - inf can warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_shots(np.array(probs), 16, seed=0)
+
+
+def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
+    probs = np.array([0.5, -1e-13, 0.25, 0.25 + 1e-13])
+    weights = checked_weights(probs)
+    assert weights is not probs and probs.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    assert weights[1] == 0.0 and np.array_equal(weights, np.clip(probs, 0.0, None) / probs.sum())
+    for seed in (0, 1, 2**62):
+        assert draw_shots(weights, 4096, seed) == sample_shots(probs, 4096, seed)
+    with pytest.raises(ValueError, match="at least one shot"):
+        draw_shots(weights, 0, seed=0)
 
 
 def test_shot_counts_validation_and_round_trips():
