@@ -4,7 +4,7 @@ A run measures one circuit per symmetry class (or per expanded term), combines
 the class estimates into the polynomial value with propagated errors, and
 judges the result against the local-realistic bound.  Reports carry the
 published device rows for the same combination so the tables can be compared
-side by side.
+side by side.  This module alone writes and reads the stored report format.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_c
 from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PauliString, exact_expectation, mask_parity
+from .pauli import PauliString, exact_expectation
 from .polynomials import CHECK_TOL, EigencheckError, MerminPolynomial, SymmetryClass, collapse, eigencheck
 from .sampling import (
+    _PARITY_SIGNS,
     Estimate,
     check_int,
     check_real,
@@ -67,6 +68,25 @@ def _check_noise(noise: object) -> NoiseModel:
     return noise
 
 
+def _noise_dict(noise: NoiseModel) -> dict:
+    return {"p1": noise.p1, "p2": noise.p2, "readout_flip": noise.readout_flip}
+
+
+def _mapping(d: dict, key: str) -> dict:
+    """The section ``d[key]`` of a stored report, which must be a mapping."""
+    section = d[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"stored report field {key!r} must be a mapping, got {section!r}")
+    return section
+
+
+def _fraction(pair: object) -> Fraction:
+    """A coefficient stored as [numerator, denominator]."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"stored coefficient must be [numerator, denominator], got {pair!r}")
+    return Fraction(*pair)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubits: int
@@ -87,29 +107,6 @@ class ExperimentConfig:
             raise ValueError(f"expand_permutations must be a bool, got {self.expand_permutations!r}")
         sigmas = check_real("violation_sigmas", self.violation_sigmas, 0.0)
         object.__setattr__(self, "violation_sigmas", sigmas)
-
-    def to_dict(self) -> dict:
-        return {
-            "qubits": self.qubits,
-            "setup": self.setup.value,
-            "shots": self.shots,
-            "seed": self.seed,
-            "noise": self.noise.to_dict(),
-            "expand_permutations": self.expand_permutations,
-            "violation_sigmas": self.violation_sigmas,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            qubits=d["qubits"],
-            setup=Setup(d["setup"]),
-            shots=d["shots"],
-            seed=d["seed"],
-            noise=NoiseModel.from_dict(d["noise"]),
-            expand_permutations=d["expand_permutations"],
-            violation_sigmas=d["violation_sigmas"],
-        )
 
 
 @dataclass(frozen=True)
@@ -136,18 +133,6 @@ class TermEstimate:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TermEstimate":
-        return cls(
-            y_count=d["y_count"],
-            axes=d["axes"],
-            coefficient=Fraction(d["coefficient"][0], d["coefficient"][1]),
-            multiplicity=d["multiplicity"],
-            value=d["value"],
-            error=d["error"],
-            seed=d["seed"],
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -164,11 +149,26 @@ class ExperimentReport:
     published_reference: dict
 
     def to_dict(self) -> dict:
+        """The stored report; ``from_dict`` is its one reader."""
+        cfg, poly = self.config, self.polynomial
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
+            "config": {
+                "qubits": cfg.qubits,
+                "setup": cfg.setup.value,
+                "shots": cfg.shots,
+                "seed": cfg.seed,
+                "noise": _noise_dict(cfg.noise),
+                "expand_permutations": cfg.expand_permutations,
+                "violation_sigmas": cfg.violation_sigmas,
+            },
             "ghz_phase": self.ghz_phase,
-            "polynomial": self.polynomial.to_dict(),
+            "polynomial": {
+                "n": poly.n,
+                "terms": [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms],
+                "lr_bound": poly.lr_bound,
+                "qm_value": poly.qm_value,
+            },
             "terms": [t.to_dict() for t in self.terms],
             "result": {
                 "value": self.value,
@@ -184,16 +184,39 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
+        """Load a stored report as it stands, recomputing nothing, through the
+        constructors and their checks.  A wrong shape raises ``ValueError``."""
         try:
+            if d.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
+            cfg, poly, result = _mapping(d, "config"), _mapping(d, "polynomial"), _mapping(d, "result")
+            noise = _mapping(cfg, "noise")
             return cls(
-                config=ExperimentConfig.from_dict(d["config"]),
+                config=ExperimentConfig(
+                    qubits=cfg["qubits"],
+                    setup=cfg["setup"],
+                    shots=cfg["shots"],
+                    seed=cfg["seed"],
+                    noise=NoiseModel(noise["p1"], noise["p2"], noise["readout_flip"]),
+                    expand_permutations=cfg["expand_permutations"],
+                    violation_sigmas=cfg["violation_sigmas"],
+                ),
                 ghz_phase=d["ghz_phase"],
-                polynomial=MerminPolynomial.from_dict(d["polynomial"]),
-                terms=tuple(TermEstimate.from_dict(t) for t in d["terms"]),
-                value=d["result"]["value"],
-                error=d["result"]["error"],
+                polynomial=MerminPolynomial(
+                    poly["n"],
+                    tuple((_fraction(t["coefficient"]), PauliString.from_str(t["axes"])) for t in poly["terms"]),
+                    poly["lr_bound"],
+                    poly["qm_value"],
+                ),
+                terms=tuple(
+                    TermEstimate(
+                        t["y_count"], t["axes"], _fraction(t["coefficient"]), t["multiplicity"],
+                        t["value"], t["error"], t["seed"],
+                    )
+                    for t in d["terms"]
+                ),
+                value=result["value"],
+                error=result["error"],
                 lr_bound=d["lr_bound"],
                 qm_value=d["qm_value"],
                 verdict=d["verdict"],
@@ -202,6 +225,8 @@ class ExperimentReport:
             )
         except KeyError as exc:  # from any nested section: config, polynomial, terms, result
             raise ValueError(f"stored report lacks field {exc.args[0]!r}") from None
+        except (TypeError, AttributeError, IndexError, ArithmeticError) as exc:
+            raise ValueError(f"stored report has the wrong shape: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -222,7 +247,7 @@ class ExchangeReport:
             "qubits": self.qubits,
             "shots": self.shots,
             "seed": self.seed,
-            "noise": self.noise.to_dict(),
+            "noise": _noise_dict(self.noise),
             "terms": [t.to_dict() for t in self.terms],
             "spread": self.spread,
             "published_reference": self.published_reference,
@@ -493,7 +518,6 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
         state = ghz_state(n, sc.ghz_phase)
         closed_ok = True
         worst = 0.0
-        signs = (1 - 2 * mask_parity(np.arange(1 << n), (1 << n) - 1)).tolist()
         for cl in collapse(sc.polynomial):
             axes = "X" * (n - cl.y_count) + "Y" * cl.y_count
             got = exact_expectation(state, PauliString.from_str(axes))
@@ -504,7 +528,7 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
                 measurement_transform(PauliString.from_str(axes))
             )
             probs = probabilities(run(circuit))
-            parity = float(sum(p * s for p, s in zip(probs, signs)))
+            parity = float(sum(p * s for p, s in zip(probs, _PARITY_SIGNS)))
             worst = max(worst, abs(parity - got))
             closed_ok &= abs(parity - got) <= 1e-10
         results.append(

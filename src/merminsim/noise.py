@@ -35,18 +35,6 @@ class NoiseModel:
     def is_zero(self) -> bool:
         return self.p1 == 0.0 and self.p2 == 0.0 and self.readout_flip == 0.0
 
-    def to_dict(self) -> dict:
-        return {"p1": self.p1, "p2": self.p2, "readout_flip": self.readout_flip}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        if not isinstance(d, dict):
-            raise ValueError(f"noise must be a mapping with p1, p2 and readout_flip, got {d!r}")
-        try:
-            return cls(d["p1"], d["p2"], d["readout_flip"])
-        except KeyError as exc:
-            raise ValueError(f"noise lacks field {exc.args[0]!r}") from None
-
 
 def _gate_noise_prob(gate: Gate, model: NoiseModel) -> float:
     return model.p2 if gate.kind == "CNOT" else model.p1

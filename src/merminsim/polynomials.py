@@ -54,25 +54,6 @@ class MerminPolynomial:
             if s.n != self.n:
                 raise ValueError(f"term {s} has {s.n} qubits, polynomial has {self.n}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"axes": str(s), "coefficient": [c.numerator, c.denominator]}
-                for c, s in self.terms
-            ],
-            "lr_bound": self.lr_bound,
-            "qm_value": self.qm_value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MerminPolynomial":
-        terms = tuple(
-            (Fraction(t["coefficient"][0], t["coefficient"][1]), PauliString.from_str(t["axes"]))
-            for t in d["terms"]
-        )
-        return cls(d["n"], terms, d["lr_bound"], d["qm_value"])
-
 
 @dataclass(frozen=True)
 class SymmetryClass:

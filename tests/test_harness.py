@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -120,7 +122,7 @@ def test_config_rejects_mistyped_flag_and_sigmas(field, bad):
 def test_config_accepts_negative_and_numpy_integer_seeds():
     cfg = ExperimentConfig(qubits=np.int64(3), setup="mermin", seed=np.int64(-5))
     assert type(cfg.qubits) is int and type(cfg.seed) is int
-    assert cfg.to_dict()["seed"] == -5
+    assert run_experiment(cfg).to_dict()["config"]["seed"] == -5
     assert run_exchange_test(seed=np.int32(-5)).seed == -5
 
 
@@ -165,15 +167,74 @@ def test_json_render_rejects_non_finite_numbers():
 def test_config_round_trip_and_string_setup_coercion():
     cfg = ExperimentConfig(qubits=4, setup="al-mod", shots=2048, seed=5, noise=NoiseModel(0.01))
     assert cfg.setup is Setup.AL_MODIFIED
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    payload = run_experiment(cfg).to_dict()
+    assert payload["config"]["setup"] == "al-mod"
+    assert ExperimentReport.from_dict(payload).config == cfg
 
 
 def test_report_dict_and_json_round_trip():
-    report = run_experiment(ExperimentConfig(qubits=4, setup="al", seed=11))
-    again = ExperimentReport.from_dict(report.to_dict())
-    assert again == report
-    via_json = ExperimentReport.from_dict(json.loads(render_report(report, "json")))
-    assert via_json == report
+    # Every catalog polynomial, in both modes, clean and noisy, passes
+    # through the one writer and the one reader.
+    for config in all_setup_configs():
+        for noise in (NoiseModel(), NoiseModel(0.02, 0.02, 0.02)):
+            for expanded in (False, True):
+                cfg = ExperimentConfig(
+                    qubits=config.n, setup=config.setup, seed=11, noise=noise, expand_permutations=expanded
+                )
+                report = run_experiment(cfg)
+                again = ExperimentReport.from_dict(report.to_dict())
+                assert again == report
+                assert all(type(c) is Fraction for c, _ in again.polynomial.terms)
+                assert all(type(t.coefficient) is Fraction for t in again.terms)
+                via_json = ExperimentReport.from_dict(json.loads(render_report(report, "json")))
+                assert via_json == report
+
+
+def _set(path: tuple, value: object) -> Callable[[dict], dict]:
+    def edit(payload: dict) -> dict:
+        section = payload
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        return payload
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: list(payload),
+        lambda payload: None,
+        _set(("result",), 5),
+        _set(("terms",), 7),
+        _set(("terms",), "XXY"),
+        _set(("terms", 0), 3),
+        _set(("config",), "x"),
+        _set(("polynomial",), []),
+        _set(("terms", 0, "coefficient"), [1]),
+        _set(("terms", 0, "coefficient"), [1, 0]),
+        _set(("terms", 0, "coefficient"), [1.5, 2]),
+        _set(("terms", 0, "coefficient"), "12"),
+        _set(("polynomial", "terms", 0, "coefficient"), [1]),
+        _set(("polynomial", "terms", 0, "coefficient"), [1, 2, 3]),
+        _set(("polynomial", "terms", 0, "axes"), 5),
+        _set(("polynomial", "terms"), None),
+        _set(("config", "noise", "p1"), 10**400),
+    ],
+    ids=[
+        "payload-list", "payload-none", "result-int", "terms-int", "terms-str", "term-int", "config-str",
+        "polynomial-list", "coefficient-short", "coefficient-zero-denominator", "coefficient-float",
+        "coefficient-str", "polynomial-coefficient-short", "polynomial-coefficient-long",
+        "polynomial-axes-int", "polynomial-terms-none", "noise-overflow",
+    ],
+)
+def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
+    # These used to escape as AttributeError, TypeError, IndexError,
+    # ZeroDivisionError or OverflowError.
+    payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
+    with pytest.raises(ValueError):
+        ExperimentReport.from_dict(payload)
 
 
 def test_report_rejects_unknown_schema_version():

@@ -3,6 +3,7 @@ trajectory oracle, and determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -79,14 +80,23 @@ def test_noise_model_validation():
     assert not NoiseModel(p1=0.01).is_zero
 
 
+def _report_with_noise(model: NoiseModel) -> ExperimentReport:
+    """A clean 3-qubit report whose config carries ``model``: the stored
+    noise fields are written and read only as part of a report."""
+    report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
+    return dataclasses.replace(report, config=dataclasses.replace(report.config, noise=model))
+
+
 def test_noise_model_dict_round_trip():
-    model = NoiseModel(0.01, 0.02, 0.03)
-    assert NoiseModel.from_dict(model.to_dict()) == model
+    report = _report_with_noise(NoiseModel(0.01, 0.02, 0.03))
+    payload = report.to_dict()
+    assert payload["config"]["noise"] == {"p1": 0.01, "p2": 0.02, "readout_flip": 0.03}
+    assert ExperimentReport.from_dict(payload) == report
     for field in ("p1", "p2", "readout_flip"):
-        trimmed = model.to_dict()
-        del trimmed[field]
+        trimmed = report.to_dict()
+        del trimmed["config"]["noise"][field]
         with pytest.raises(ValueError, match=f"lacks field '{field}'"):
-            NoiseModel.from_dict(trimmed)
+            ExperimentReport.from_dict(trimmed)
 
 
 @pytest.mark.parametrize("bad", [True, "0.1", float("nan")], ids=["bool", "str", "nan"])
@@ -100,7 +110,7 @@ def test_noise_model_rejects_non_real_fields(field, bad):
     with pytest.raises(ValueError, match=field):
         ExperimentReport.from_dict(payload)
     # Integral probabilities are stored, and reported, as floats.
-    assert type(NoiseModel(**{field: 1}).to_dict()[field]) is float
+    assert type(_report_with_noise(NoiseModel(**{field: 1})).to_dict()["config"]["noise"][field]) is float
 
 
 @pytest.mark.parametrize("bad", [None, (0.1, 0.0, 0.0), "0,0,0"], ids=["none", "tuple", "str"])
@@ -110,9 +120,10 @@ def test_noise_that_is_not_a_noise_model_is_rejected(bad):
         ExperimentConfig(qubits=3, setup="mermin", noise=bad)
     with pytest.raises(ValueError, match="noise"):
         run_exchange_test(noise=bad)
+    # A stored noise that is not a mapping of the three fields is named as such.
     payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
     payload["config"]["noise"] = json.loads(json.dumps(bad))
-    with pytest.raises(ValueError, match="noise"):
+    with pytest.raises(ValueError, match="'noise' must be a mapping"):
         ExperimentReport.from_dict(payload)
 
 

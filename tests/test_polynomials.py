@@ -10,6 +10,8 @@ import pytest
 from conftest import random_symmetric_state
 from merminsim import (
     EigencheckError,
+    ExperimentConfig,
+    ExperimentReport,
     MerminPolynomial,
     PauliString,
     SymmetryClass,
@@ -21,6 +23,7 @@ from merminsim import (
     init_zero,
     mermin_direct,
     primed,
+    run_experiment,
 )
 from merminsim.statevector import Statevector
 
@@ -155,8 +158,17 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
 
 
 def test_polynomial_serialization_round_trip():
-    for poly in (mermin_direct(3), alsina_recursive(4), primed(alsina_recursive(5))):
-        again = MerminPolynomial.from_dict(poly.to_dict())
+    # Polynomials are stored only inside a report, so the round trip goes
+    # through the report writer and reader.
+    cases = (
+        (mermin_direct(3), 3, "mermin"),
+        (alsina_recursive(4), 4, "al-mod"),
+        (primed(alsina_recursive(5)), 5, "al"),
+    )
+    for poly, qubits, setup in cases:
+        report = run_experiment(ExperimentConfig(qubits=qubits, setup=setup))
+        assert report.polynomial == poly
+        again = ExperimentReport.from_dict(report.to_dict()).polynomial
         assert again == poly
         assert isinstance(again.terms[0][0], Fraction)
 
