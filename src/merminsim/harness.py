@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -68,10 +70,6 @@ def _check_noise(noise: object) -> NoiseModel:
     return noise
 
 
-def _noise_dict(noise: NoiseModel) -> dict:
-    return {"p1": noise.p1, "p2": noise.p2, "readout_flip": noise.readout_flip}
-
-
 def _mapping(d: dict, key: str) -> dict:
     """The section ``d[key]`` of a stored report, which must be a mapping."""
     section = d[key]
@@ -81,10 +79,53 @@ def _mapping(d: dict, key: str) -> dict:
 
 
 def _fraction(pair: object) -> Fraction:
-    """A coefficient stored as [numerator, denominator]."""
-    if not isinstance(pair, list) or len(pair) != 2:
+    """A coefficient stored as [numerator, denominator], two ints."""
+    if not isinstance(pair, list) or len(pair) != 2 or not all(_is_int(x) for x in pair):
         raise ValueError(f"stored coefficient must be [numerator, denominator], got {pair!r}")
     return Fraction(*pair)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Stored fields are checked for their type only and loaded as they stand, so a
+# reloaded report renders to the bytes it was loaded from.
+
+
+def _int(d: dict, key: str) -> int:
+    value = d[key]
+    if not _is_int(value):
+        raise ValueError(f"stored report field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _real(d: dict, key: str) -> float:
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"stored report field {key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _str(d: dict, key: str) -> str:
+    value = d[key]
+    if not isinstance(value, str):
+        raise ValueError(f"stored report field {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _verdict(d: dict) -> str:
+    verdict = d["verdict"]
+    if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
+        raise ValueError(f"stored report field 'verdict' must be one of the two verdicts, got {verdict!r}")
+    return verdict
+
+
+def _flag(d: dict) -> bool | None:
+    flag = d["genuine_fourparty"]
+    if flag is not None and not isinstance(flag, bool):
+        raise ValueError(f"stored report field 'genuine_fourparty' must be true, false or null, got {flag!r}")
+    return flag
 
 
 @dataclass(frozen=True)
@@ -121,18 +162,6 @@ class TermEstimate:
     error: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "y_count": self.y_count,
-            "axes": self.axes,
-            "coefficient": [self.coefficient.numerator, self.coefficient.denominator],
-            "multiplicity": self.multiplicity,
-            "value": self.value,
-            "error": self.error,
-            "error_rounded": round_error(self.error),
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -149,38 +178,9 @@ class ExperimentReport:
     published_reference: dict
 
     def to_dict(self) -> dict:
-        """The stored report; ``from_dict`` is its one reader."""
-        cfg, poly = self.config, self.polynomial
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": {
-                "qubits": cfg.qubits,
-                "setup": cfg.setup.value,
-                "shots": cfg.shots,
-                "seed": cfg.seed,
-                "noise": _noise_dict(cfg.noise),
-                "expand_permutations": cfg.expand_permutations,
-                "violation_sigmas": cfg.violation_sigmas,
-            },
-            "ghz_phase": self.ghz_phase,
-            "polynomial": {
-                "n": poly.n,
-                "terms": [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms],
-                "lr_bound": poly.lr_bound,
-                "qm_value": poly.qm_value,
-            },
-            "terms": [t.to_dict() for t in self.terms],
-            "result": {
-                "value": self.value,
-                "error": self.error,
-                "error_rounded": round_error(self.error),
-            },
-            "lr_bound": self.lr_bound,
-            "qm_value": self.qm_value,
-            "verdict": self.verdict,
-            "genuine_fourparty": self.genuine_fourparty,
-            "published_reference": self.published_reference,
-        }
+        """The stored report as data: the JSON text ``render_report`` writes,
+        parsed; ``from_dict`` is its one reader."""
+        return json.loads(_experiment_json(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
@@ -201,27 +201,27 @@ class ExperimentReport:
                     expand_permutations=cfg["expand_permutations"],
                     violation_sigmas=cfg["violation_sigmas"],
                 ),
-                ghz_phase=d["ghz_phase"],
+                ghz_phase=_real(d, "ghz_phase"),
                 polynomial=MerminPolynomial(
-                    poly["n"],
+                    _int(poly, "n"),
                     tuple((_fraction(t["coefficient"]), PauliString.from_str(t["axes"])) for t in poly["terms"]),
-                    poly["lr_bound"],
-                    poly["qm_value"],
+                    _real(poly, "lr_bound"),
+                    _real(poly, "qm_value"),
                 ),
                 terms=tuple(
                     TermEstimate(
-                        t["y_count"], t["axes"], _fraction(t["coefficient"]), t["multiplicity"],
-                        t["value"], t["error"], t["seed"],
+                        _int(t, "y_count"), _str(t, "axes"), _fraction(t["coefficient"]),
+                        _int(t, "multiplicity"), _real(t, "value"), _real(t, "error"), _int(t, "seed"),
                     )
                     for t in d["terms"]
                 ),
-                value=result["value"],
-                error=result["error"],
-                lr_bound=d["lr_bound"],
-                qm_value=d["qm_value"],
-                verdict=d["verdict"],
-                genuine_fourparty=d["genuine_fourparty"],
-                published_reference=d["published_reference"],
+                value=_real(result, "value"),
+                error=_real(result, "error"),
+                lr_bound=_real(d, "lr_bound"),
+                qm_value=_real(d, "qm_value"),
+                verdict=_verdict(d),
+                genuine_fourparty=_flag(d),
+                published_reference=_mapping(d, "published_reference"),
             )
         except KeyError as exc:  # from any nested section: config, polynomial, terms, result
             raise ValueError(f"stored report lacks field {exc.args[0]!r}") from None
@@ -242,16 +242,9 @@ class ExchangeReport:
     published_reference: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "qubits": self.qubits,
-            "shots": self.shots,
-            "seed": self.seed,
-            "noise": _noise_dict(self.noise),
-            "terms": [t.to_dict() for t in self.terms],
-            "spread": self.spread,
-            "published_reference": self.published_reference,
-        }
+        """The stored report as data: the JSON text ``render_exchange_report``
+        writes, parsed."""
+        return json.loads(_exchange_json(self))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -397,11 +390,163 @@ def run_exchange_test(
     )
 
 
-def _render(report: ExperimentReport | ExchangeReport, fmt: str, builders: dict[str, Callable]) -> str:
-    """The one format dispatch: 'json' dumps ``report.to_dict()`` (full
-    precision, round-trips); 'csv' and 'md' join the lines of their builder."""
+# The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
+# allow_nan=False) would write for it.  The writers below spell out the
+# per-run fields as templates whose keys are already sorted; the per-cell
+# sections (polynomial, published_reference) are dumped once and reused.
+
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _json(value: object, depth: int) -> str:
+    """``value`` as it is written at nesting ``depth``: ints, finite floats,
+    strings, bools and None (exact types) inline, the way json encodes them;
+    anything else (containers, subclasses, nan, inf, other types) through
+    ``_dumps``, which also raises its ValueError or TypeError."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return repr(value)
+    elif kind is int:
+        return repr(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
+    return _dumps(value).replace("\n", "\n" + "  " * depth)
+
+
+def _terms_json(terms: tuple[TermEstimate, ...]) -> str:
+    if not terms:
+        return "[]"
+    j = _json
+    return "[\n" + ",\n".join(
+        f"""    {{
+      "axes": {j(t.axes, 3)},
+      "coefficient": [
+        {j(t.coefficient.numerator, 4)},
+        {j(t.coefficient.denominator, 4)}
+      ],
+      "error": {j(t.error, 3)},
+      "error_rounded": {j(round_error(t.error), 3)},
+      "multiplicity": {j(t.multiplicity, 3)},
+      "seed": {j(t.seed, 3)},
+      "value": {j(t.value, 3)},
+      "y_count": {j(t.y_count, 3)}
+    }}"""
+        for t in terms
+    ) + "\n  ]"
+
+
+def _polynomial_section(poly: MerminPolynomial) -> str:
+    terms = [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms]
+    return _json({"n": poly.n, "terms": terms, "lr_bound": poly.lr_bound, "qm_value": poly.qm_value}, 1)
+
+
+# Per cell: the checked catalog's polynomial object and its section.
+_POLYNOMIAL_SECTIONS: dict[tuple[int, Setup], tuple[MerminPolynomial, str]] = {}
+
+
+def _polynomial_json(report: ExperimentReport) -> str:
+    """The polynomial section, memoised per cell for the checked catalog's own
+    (immutable) polynomial object, which every report of ``run_experiment``
+    holds; any other polynomial is dumped from itself.  Only a miss looks the
+    cell up in the checked catalog, to learn whether to keep the text."""
+    poly, cell = report.polynomial, (report.config.qubits, report.config.setup)
+    memo = _POLYNOMIAL_SECTIONS.get(cell)
+    if memo is not None and memo[0] is poly:
+        return memo[1]
+    text = _polynomial_section(poly)
+    if poly is _checked_setup(*cell)[0].polynomial:
+        _POLYNOMIAL_SECTIONS[cell] = (poly, text)
+    return text
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _reference_section(key: bytes) -> str:
+    return _json(pickle.loads(key), 1)
+
+
+def _reference_json(ref: object) -> str:
+    """The published_reference section, memoised on the pickle of its
+    current content.  A pickle keeps what ``==`` conflates (9 and 9.0, True
+    and 1, -0.0 and 0.0), so equal keys always dump to equal text."""
+    try:
+        key = pickle.dumps(ref)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return _json(ref, 1)
+    return _reference_section(key)
+
+
+def _experiment_json(report: ExperimentReport) -> str:
+    """The stored experiment report: the one writer of its layout."""
+    cfg, noise, j = report.config, report.config.noise, _json
+    return f"""{{
+  "config": {{
+    "expand_permutations": {j(cfg.expand_permutations, 2)},
+    "noise": {{
+      "p1": {j(noise.p1, 3)},
+      "p2": {j(noise.p2, 3)},
+      "readout_flip": {j(noise.readout_flip, 3)}
+    }},
+    "qubits": {j(cfg.qubits, 2)},
+    "seed": {j(cfg.seed, 2)},
+    "setup": {j(cfg.setup.value, 2)},
+    "shots": {j(cfg.shots, 2)},
+    "violation_sigmas": {j(cfg.violation_sigmas, 2)}
+  }},
+  "genuine_fourparty": {j(report.genuine_fourparty, 1)},
+  "ghz_phase": {j(report.ghz_phase, 1)},
+  "lr_bound": {j(report.lr_bound, 1)},
+  "polynomial": {_polynomial_json(report)},
+  "published_reference": {_reference_json(report.published_reference)},
+  "qm_value": {j(report.qm_value, 1)},
+  "result": {{
+    "error": {j(report.error, 2)},
+    "error_rounded": {j(round_error(report.error), 2)},
+    "value": {j(report.value, 2)}
+  }},
+  "schema_version": {j(SCHEMA_VERSION, 1)},
+  "terms": {_terms_json(report.terms)},
+  "verdict": {j(report.verdict, 1)}
+}}
+"""
+
+
+def _exchange_json(report: ExchangeReport) -> str:
+    """The stored exchange report, from the same leaves and sections."""
+    noise, j = report.noise, _json
+    return f"""{{
+  "noise": {{
+    "p1": {j(noise.p1, 2)},
+    "p2": {j(noise.p2, 2)},
+    "readout_flip": {j(noise.readout_flip, 2)}
+  }},
+  "published_reference": {_reference_json(report.published_reference)},
+  "qubits": {j(report.qubits, 1)},
+  "schema_version": {j(SCHEMA_VERSION, 1)},
+  "seed": {j(report.seed, 1)},
+  "shots": {j(report.shots, 1)},
+  "spread": {j(report.spread, 1)},
+  "terms": {_terms_json(report.terms)}
+}}
+"""
+
+
+def _render(
+    report: ExperimentReport | ExchangeReport,
+    fmt: str,
+    json_writer: Callable[[ExperimentReport | ExchangeReport], str],
+    builders: dict[str, Callable],
+) -> str:
+    """The one format dispatch: 'json' is the stored report (full precision,
+    round-trips); 'csv' and 'md' join the lines of their builder."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json_writer(report)
     if fmt not in builders:
         raise ValueError(f"unknown format {fmt!r}; choose one of {RENDER_FORMATS}")
     return "\n".join(builders[fmt](report)) + "\n"
@@ -502,11 +647,11 @@ def _exchange_md_lines(report: ExchangeReport) -> list[str]:
 
 def render_report(report: ExperimentReport, fmt: str = "json") -> str:
     """Render to 'json' (full precision, round-trips), 'csv', or 'md'."""
-    return _render(report, fmt, {"csv": _csv_lines, "md": _md_lines})
+    return _render(report, fmt, _experiment_json, {"csv": _csv_lines, "md": _md_lines})
 
 
 def render_exchange_report(report: ExchangeReport, fmt: str = "json") -> str:
-    return _render(report, fmt, {"csv": _exchange_csv_lines, "md": _exchange_md_lines})
+    return _render(report, fmt, _exchange_json, {"csv": _exchange_csv_lines, "md": _exchange_md_lines})
 
 
 def verify_invariants() -> list[tuple[str, bool, str]]:

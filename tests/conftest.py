@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from merminsim import Circuit, Gate, NoiseModel, ShotCounts
+from merminsim import harness
 from merminsim.harness import _checked_setup, _exact_distribution
 
 
@@ -26,6 +27,8 @@ def cold_memo():
     a catalog entry or distribution built by another (or before a patch)."""
     _checked_setup.cache_clear()
     _exact_distribution.cache_clear()
+    harness._POLYNOMIAL_SECTIONS.clear()
+    harness._reference_section.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -42,3 +42,10 @@ def test_fresh_run_renders_the_golden_bytes(name, capsys):
 def test_stored_report_reloads_to_the_golden_bytes(name):
     text = (DATA / name).read_text()
     assert render_report(ExperimentReport.from_dict(json.loads(text)), "json") == text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_file_is_json_dumps_of_its_content(name):
+    # The writer's templates must keep json.dumps's layout: sorted keys, two-space indent.
+    text = (DATA / name).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -221,20 +221,57 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         _set(("polynomial", "terms", 0, "axes"), 5),
         _set(("polynomial", "terms"), None),
         _set(("config", "noise", "p1"), 10**400),
+        _set(("result", "error"), "x"),
+        _set(("result", "value"), float("nan")),
+        _set(("terms", 0, "value"), None),
+        _set(("terms", 0, "error"), True),
+        _set(("terms", 0, "y_count"), "abc"),
+        _set(("terms", 0, "multiplicity"), 3.0),
+        _set(("terms", 0, "seed"), False),
+        _set(("terms", 0, "axes"), 5),
+        _set(("terms", 0, "coefficient"), [True, 1]),
+        _set(("ghz_phase",), "pi/2"),
+        _set(("lr_bound",), [2.0]),
+        _set(("qm_value",), float("inf")),
+        _set(("polynomial", "n"), 3.0),
+        _set(("polynomial", "qm_value"), None),
+        _set(("verdict",), "MAYBE"),
+        _set(("genuine_fourparty",), "yes"),
+        _set(("genuine_fourparty",), 0),
+        _set(("published_reference",), None),
     ],
     ids=[
         "payload-list", "payload-none", "result-int", "terms-int", "terms-str", "term-int", "config-str",
         "polynomial-list", "coefficient-short", "coefficient-zero-denominator", "coefficient-float",
         "coefficient-str", "polynomial-coefficient-short", "polynomial-coefficient-long",
         "polynomial-axes-int", "polynomial-terms-none", "noise-overflow",
+        "result-error-str", "result-value-nan", "term-value-null", "term-error-bool", "term-y-count-str",
+        "term-multiplicity-float", "term-seed-bool", "term-axes-int", "coefficient-bool", "ghz-phase-str",
+        "lr-bound-list", "qm-value-inf", "polynomial-n-float", "polynomial-qm-value-null", "verdict-unknown",
+        "flag-str", "flag-int", "reference-null",
     ],
 )
 def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
     # These used to escape as AttributeError, TypeError, IndexError,
-    # ZeroDivisionError or OverflowError.
+    # ZeroDivisionError or OverflowError, or to load and then fail (or pass
+    # silently) when rendered.
     payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
     with pytest.raises(ValueError):
         ExperimentReport.from_dict(payload)
+
+
+def test_stored_values_keep_their_type_on_reload():
+    # Loading checks types without coercing, so an int stays an int and the
+    # reloaded report renders the bytes it was loaded from.
+    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    payload["result"]["value"] = 4
+    payload["terms"][0]["value"] = 1
+    payload["lr_bound"] = 2
+    payload["published_reference"]["rows"]["Vigo"]["result"] = 3
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    report = ExperimentReport.from_dict(json.loads(text))
+    assert type(report.value) is int and type(report.lr_bound) is int
+    assert render_report(report, "json") == text
 
 
 def test_report_rejects_unknown_schema_version():

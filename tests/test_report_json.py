@@ -1,0 +1,226 @@
+"""The JSON writer against an independent oracle.
+
+``oracle`` is the stored layout spelled out as a plain dict, the way the
+reports were once written; ``json.dumps`` of it is the reference text.  The
+writer must give exactly those bytes for every catalog cell and for hand-built
+reports whose per-cell sections the memo must not confuse.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from merminsim import (
+    ExchangeReport,
+    ExperimentConfig,
+    ExperimentReport,
+    NoiseModel,
+    Setup,
+    render_exchange_report,
+    render_report,
+    run_exchange_test,
+    run_experiment,
+    setup_config,
+)
+from merminsim import harness
+from merminsim.sampling import round_error
+
+SEEDS = (0, 7, 12345)
+NOISES = (NoiseModel(), NoiseModel(0.02, 0.02, 0.02))
+
+
+def _noise(noise: NoiseModel) -> dict:
+    return {"p1": noise.p1, "p2": noise.p2, "readout_flip": noise.readout_flip}
+
+
+def _term(t) -> dict:
+    return {
+        "y_count": t.y_count,
+        "axes": t.axes,
+        "coefficient": [t.coefficient.numerator, t.coefficient.denominator],
+        "multiplicity": t.multiplicity,
+        "value": t.value,
+        "error": t.error,
+        "error_rounded": round_error(t.error),
+        "seed": t.seed,
+    }
+
+
+def oracle(report: ExperimentReport | ExchangeReport) -> dict:
+    if isinstance(report, ExchangeReport):
+        return {
+            "schema_version": 1,
+            "qubits": report.qubits,
+            "shots": report.shots,
+            "seed": report.seed,
+            "noise": _noise(report.noise),
+            "terms": [_term(t) for t in report.terms],
+            "spread": report.spread,
+            "published_reference": report.published_reference,
+        }
+    cfg, poly = report.config, report.polynomial
+    return {
+        "schema_version": 1,
+        "config": {
+            "qubits": cfg.qubits,
+            "setup": cfg.setup.value,
+            "shots": cfg.shots,
+            "seed": cfg.seed,
+            "noise": _noise(cfg.noise),
+            "expand_permutations": cfg.expand_permutations,
+            "violation_sigmas": cfg.violation_sigmas,
+        },
+        "ghz_phase": report.ghz_phase,
+        "polynomial": {
+            "n": poly.n,
+            "terms": [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms],
+            "lr_bound": poly.lr_bound,
+            "qm_value": poly.qm_value,
+        },
+        "terms": [_term(t) for t in report.terms],
+        "result": {"value": report.value, "error": report.error, "error_rounded": round_error(report.error)},
+        "lr_bound": report.lr_bound,
+        "qm_value": report.qm_value,
+        "verdict": report.verdict,
+        "genuine_fourparty": report.genuine_fourparty,
+        "published_reference": report.published_reference,
+    }
+
+
+def expected(report: ExperimentReport | ExchangeReport) -> str:
+    return json.dumps(oracle(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _report(qubits: int = 3, setup: str = "mermin", **kwargs) -> ExperimentReport:
+    return run_experiment(ExperimentConfig(qubits=qubits, setup=setup, **kwargs))
+
+
+@pytest.mark.parametrize("expand", [False, True], ids=["class", "expanded"])
+@pytest.mark.parametrize("setup", list(Setup), ids=lambda s: s.value)
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_experiment_json_matches_the_oracle(qubits, setup, expand):
+    for noise in NOISES:
+        for seed in SEEDS:
+            report = _report(qubits, setup, seed=seed, noise=noise, expand_permutations=expand)
+            text = render_report(report, "json")
+            assert text == expected(report)
+            assert report.to_dict() == json.loads(text)
+
+
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_exchange_json_matches_the_oracle(qubits):
+    for noise in NOISES:
+        for seed in SEEDS:
+            report = run_exchange_test(seed=seed, noise=noise, qubits=qubits)
+            text = render_exchange_report(report, "json")
+            assert text == expected(report)
+            assert report.to_dict() == json.loads(text)
+
+
+def _replace_vigo_result(report: ExperimentReport, value: object) -> ExperimentReport:
+    ref = json.loads(json.dumps(report.published_reference))
+    ref["rows"]["Vigo"]["result"] = value
+    return dataclasses.replace(report, published_reference=ref)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(9.0, 9), (9, 9.0), (1, True), (True, 1), (0.0, -0.0), (-0.0, 0.0)],
+    ids=["float-then-int", "int-then-float", "int-then-bool", "bool-then-int", "zero-then-neg", "neg-then-zero"],
+)
+def test_reference_memo_tells_apart_what_equality_conflates(first, second):
+    # first == second, but json writes them differently.
+    report = _report()
+    for value in (first, second, first):
+        edited = _replace_vigo_result(report, value)
+        assert render_report(edited, "json") == expected(edited)
+    assert json.dumps(second) in render_report(_replace_vigo_result(report, second), "json")
+
+
+def test_reference_mutated_after_a_render_renders_the_mutation():
+    report = _report()
+    before = render_report(report, "json")
+    report.published_reference["rows"]["Vigo"]["result"] = 1.5
+    after = render_report(report, "json")
+    assert after != before
+    assert '"result": 1.5' in after
+    assert after == expected(report)
+
+
+def test_non_catalog_polynomial_renders_its_own_terms():
+    report = _report(4, "al-mod")
+    render_report(report, "json")
+    catalog = report.polynomial
+    others = [
+        # Equal to the catalog's under ==, but written differently.
+        dataclasses.replace(catalog, lr_bound=int(catalog.lr_bound)),
+        # A different polynomial of the same size, and an equal copy.
+        setup_config(4, "al").polynomial,
+        setup_config(4, "al-mod").polynomial,
+    ]
+    assert others[0] == catalog and others[2] == catalog
+    for poly in others:
+        edited = dataclasses.replace(report, polynomial=poly)
+        assert render_report(edited, "json") == expected(edited)
+    assert '"lr_bound": 4,' in render_report(dataclasses.replace(report, polynomial=others[0]), "json")
+
+
+def test_hand_built_leaves_render_as_json_dumps_writes_them():
+    report = _report()
+    term = dataclasses.replace(report.terms[0], value=1, coefficient=Fraction(3, 2))
+    for edited in (
+        dataclasses.replace(report, value=4, lr_bound=np.float64(2.0), terms=(term,)),
+        dataclasses.replace(report, verdict={"b": [1, 2.5], "a": None}, genuine_fourparty=(True, "x")),
+        dataclasses.replace(report, terms=()),
+    ):
+        assert render_report(edited, "json") == expected(edited)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_term_value_raises_value_error(bad):
+    report = _report()
+    edited = dataclasses.replace(report, terms=(dataclasses.replace(report.terms[0], value=bad),))
+    with pytest.raises(ValueError):
+        render_report(edited, "json")
+    with pytest.raises(ValueError):
+        json.dumps(oracle(edited), allow_nan=False)
+
+
+def test_numpy_float32_term_value_raises_type_error():
+    report = _report()
+    edited = dataclasses.replace(report, terms=(dataclasses.replace(report.terms[0], value=np.float32(0.5)),))
+    with pytest.raises(TypeError):
+        render_report(edited, "json")
+
+
+def test_warm_catalog_render_calls_json_dumps_zero_times(monkeypatch):
+    reports = [
+        _report(n, setup, seed=3, noise=NoiseModel(0.02, 0.02, 0.02), expand_permutations=expand)
+        for n in (3, 4, 5)
+        for setup in ("mermin", "al", "al-mod")
+        for expand in (False, True)
+    ]
+    exchanges = [run_exchange_test(seed=3, qubits=n) for n in (3, 4, 5)]
+    texts = [render_report(r, "json") for r in reports] + [render_exchange_report(r, "json") for r in exchanges]
+    calls = []
+    real = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    again = [render_report(r, "json") for r in reports] + [render_exchange_report(r, "json") for r in exchanges]
+    assert again == texts
+    assert calls == []
+    # A rebuilt catalog entry holds a new polynomial object: one dump fills its cell again.
+    harness._checked_setup.cache_clear()
+    rebuilt = _report(5, "al", seed=3)
+    first, second = render_report(rebuilt, "json"), render_report(rebuilt, "json")
+    assert len(calls) == 1
+    assert first == second == expected(rebuilt)
