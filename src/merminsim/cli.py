@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 internal
-invariant failure (a report-time consistency recheck did not hold).
+Exit codes: 0 success, 1 invalid configuration or arguments or an unwritable
+output file, 2 internal invariant failure (a report-time consistency recheck
+did not hold).
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ def _parse_noise(text: str) -> NoiseModel:
     return NoiseModel(p1, p2, ro)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        print(f"merminsim: cannot write the report: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -52,8 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         violation_sigmas=args.violation_sigmas,
     )
     report = run_experiment(cfg)
-    _emit(render_report(report, args.format), args.out)
-    return 0
+    return _emit(render_report(report, args.format), args.out)
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
@@ -63,8 +68,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         noise=_parse_noise(args.noise),
         qubits=args.qubits,
     )
-    _emit(render_exchange_report(report, args.format), args.out)
-    return 0
+    return _emit(render_exchange_report(report, args.format), args.out)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

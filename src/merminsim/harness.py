@@ -2,16 +2,16 @@
 
 A run measures one circuit per symmetry class (or per expanded term), combines
 the class estimates into the polynomial value with propagated errors, and
-judges the result against the local-realistic bound.  Reports carry the
-published device rows for the same combination so the tables can be compared
-side by side.  This module alone writes and reads the stored report format.
+judges the result against the local-realistic bound.  A report holds what
+its run measured; the per-cell fields it is stored and shown with (polynomial,
+bounds, GHZ phase and the published device rows) come from the checked
+catalog entry.  This module alone writes and reads the stored report format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +26,7 @@ from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
 from .pauli import PauliString, exact_expectation
-from .polynomials import CHECK_TOL, EigencheckError, MerminPolynomial, SymmetryClass, collapse, eigencheck
+from .polynomials import CHECK_TOL, EigencheckError, SymmetryClass, collapse, eigencheck
 from .sampling import (
     _PARITY_SIGNS,
     Estimate,
@@ -64,6 +64,14 @@ def _check_qubits(qubits: int) -> int:
     return qubits
 
 
+def _check_shots(shots: int) -> int:
+    """A shot count numpy's multinomial takes (an int64), as a plain int."""
+    shots = check_int("shots", shots, 1)
+    if shots > 2**63 - 1:
+        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
+    return shots
+
+
 def _check_noise(noise: object) -> NoiseModel:
     if not isinstance(noise, NoiseModel):
         raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
@@ -78,39 +86,14 @@ def _mapping(d: dict, key: str) -> dict:
     return section
 
 
-def _fraction(pair: object) -> Fraction:
-    """A coefficient stored as [numerator, denominator], two ints."""
-    if not isinstance(pair, list) or len(pair) != 2 or not all(_is_int(x) for x in pair):
-        raise ValueError(f"stored coefficient must be [numerator, denominator], got {pair!r}")
-    return Fraction(*pair)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Stored fields are checked for their type only and loaded as they stand, so a
-# reloaded report renders to the bytes it was loaded from.
-
-
-def _int(d: dict, key: str) -> int:
-    value = d[key]
-    if not _is_int(value):
-        raise ValueError(f"stored report field {key!r} must be an integer, got {value!r}")
-    return value
+# Stored measurements are checked for their type only and loaded as they
+# stand, so a reloaded report renders to the bytes it was loaded from.
 
 
 def _real(d: dict, key: str) -> float:
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"stored report field {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-def _str(d: dict, key: str) -> str:
-    value = d[key]
-    if not isinstance(value, str):
-        raise ValueError(f"stored report field {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -141,7 +124,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "setup", Setup(self.setup))
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
-        object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
+        object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", check_int("seed", self.seed))
         _check_noise(self.noise)
         if not isinstance(self.expand_permutations, bool):
@@ -165,17 +148,15 @@ class TermEstimate:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """What one run measured.  Its cell's polynomial, bounds, GHZ phase and
+    published rows are the checked catalog entry's (``_checked_setup``)."""
+
     config: ExperimentConfig
-    ghz_phase: float
-    polynomial: MerminPolynomial
     terms: tuple[TermEstimate, ...]
     value: float
     error: float
-    lr_bound: float
-    qm_value: float
     verdict: str
     genuine_fourparty: bool | None
-    published_reference: dict
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_report`` writes,
@@ -184,46 +165,51 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        """Load a stored report as it stands, recomputing nothing, through the
-        constructors and their checks.  A wrong shape raises ``ValueError``."""
+        """Load a stored report through the constructors and their checks,
+        recomputing nothing.  What the catalog and the config fix must match,
+        byte for byte: the per-cell fields the catalog's text and each term's
+        axes, coefficient, multiplicity and y_count the run's plan.  A term's
+        seed is loaded as stored.  A wrong shape raises ``ValueError``."""
         try:
             if d.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
-            cfg, poly, result = _mapping(d, "config"), _mapping(d, "polynomial"), _mapping(d, "result")
+            cfg, result = _mapping(d, "config"), _mapping(d, "result")
             noise = _mapping(cfg, "noise")
+            config = ExperimentConfig(
+                qubits=cfg["qubits"],
+                setup=cfg["setup"],
+                shots=cfg["shots"],
+                seed=cfg["seed"],
+                noise=NoiseModel(noise["p1"], noise["p2"], noise["readout_flip"]),
+                expand_permutations=cfg["expand_permutations"],
+                violation_sigmas=cfg["violation_sigmas"],
+            )
+            sc, classes, _, cell_text = _checked_setup(config.qubits, config.setup)
+            cell = {k: d[k] for k in ("ghz_phase", "lr_bound", "polynomial", "published_reference", "qm_value")}
+            if _dumps(cell)[2:-2] != cell_text:
+                catalog = json.loads("{" + cell_text + "}")
+                field = next(k for k in cell if _dumps(cell[k]) != _dumps(catalog[k]))
+                raise ValueError(f"stored report field {field!r} differs from the catalog")
+            plan = _plan(config, sc, classes)
+            ids = ("axes", "coefficient", "multiplicity", "y_count")
+            want = [dict(zip(ids, (a, [c.numerator, c.denominator], m, a.count("Y")))) for a, c, m, _ in plan]
+            if _dumps([{k: t[k] for k in ids} for t in d["terms"]]) != _dumps(want):
+                raise ValueError("stored terms differ from the run's plan")
+            terms = tuple(
+                TermEstimate(
+                    a.count("Y"), a, c, m, _real(t, "value"), _real(t, "error"), check_int("term seed", t["seed"])
+                )
+                for (a, c, m, _), t in zip(plan, d["terms"])
+            )
             return cls(
-                config=ExperimentConfig(
-                    qubits=cfg["qubits"],
-                    setup=cfg["setup"],
-                    shots=cfg["shots"],
-                    seed=cfg["seed"],
-                    noise=NoiseModel(noise["p1"], noise["p2"], noise["readout_flip"]),
-                    expand_permutations=cfg["expand_permutations"],
-                    violation_sigmas=cfg["violation_sigmas"],
-                ),
-                ghz_phase=_real(d, "ghz_phase"),
-                polynomial=MerminPolynomial(
-                    _int(poly, "n"),
-                    tuple((_fraction(t["coefficient"]), PauliString.from_str(t["axes"])) for t in poly["terms"]),
-                    _real(poly, "lr_bound"),
-                    _real(poly, "qm_value"),
-                ),
-                terms=tuple(
-                    TermEstimate(
-                        _int(t, "y_count"), _str(t, "axes"), _fraction(t["coefficient"]),
-                        _int(t, "multiplicity"), _real(t, "value"), _real(t, "error"), _int(t, "seed"),
-                    )
-                    for t in d["terms"]
-                ),
+                config=config,
+                terms=terms,
                 value=_real(result, "value"),
                 error=_real(result, "error"),
-                lr_bound=_real(d, "lr_bound"),
-                qm_value=_real(d, "qm_value"),
                 verdict=_verdict(d),
                 genuine_fourparty=_flag(d),
-                published_reference=_mapping(d, "published_reference"),
             )
-        except KeyError as exc:  # from any nested section: config, polynomial, terms, result
+        except KeyError as exc:  # from any nested section: config, terms, result
             raise ValueError(f"stored report lacks field {exc.args[0]!r}") from None
         except (TypeError, AttributeError, IndexError, ArithmeticError) as exc:
             raise ValueError(f"stored report has the wrong shape: {exc}") from None
@@ -239,7 +225,6 @@ class ExchangeReport:
     noise: NoiseModel
     terms: tuple[TermEstimate, ...]
     spread: float
-    published_reference: dict | None
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_exchange_report``
@@ -299,14 +284,46 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryClass, ...]]:
-    """The catalog entry and its symmetry classes, bounds rechecked when the
+def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryClass, ...], dict, str]:
+    """The catalog entry, its symmetry classes, its published table and the
+    stored text of a report's five per-cell fields (the lines between
+    ``genuine_fourparty`` and ``result``).  Bounds are rechecked when the
     entry is built; a failed recheck raises and is not memoised."""
     sc = setup_config(n, setup)
     for name, ok, detail in recheck_bounds(sc)[0]:
         if not ok:
             raise InvariantError(f"{name}: FAIL ({detail})")
-    return sc, tuple(collapse(sc.polynomial))
+    poly, table = sc.polynomial, reference.device_results(sc.n, sc.setup.value)
+    terms = [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms]
+    cell = {
+        "ghz_phase": sc.ghz_phase,
+        "lr_bound": sc.lr_bound,
+        "polynomial": {"n": poly.n, "terms": terms, "lr_bound": poly.lr_bound, "qm_value": poly.qm_value},
+        "published_reference": table,
+        "qm_value": sc.qm_value,
+    }
+    return sc, tuple(collapse(poly)), table, _dumps(cell)[2:-2]
+
+
+def _plan(
+    cfg: ExperimentConfig, sc: SetupConfig, classes: tuple[SymmetryClass, ...]
+) -> list[tuple[str, Fraction, int, int]]:
+    """The (axes, coefficient, multiplicity, seed) of each circuit a run of
+    ``cfg`` measures: every term when expanded, else one per symmetry class."""
+    if cfg.expand_permutations:
+        return [
+            (str(s), coeff, 1, derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "term", str(s)))
+            for coeff, s in sc.polynomial.terms
+        ]
+    return [
+        (
+            "X" * (cfg.qubits - cl.y_count) + "Y" * cl.y_count,
+            cl.coefficient,
+            cl.multiplicity,
+            derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "class", cl.y_count),
+        )
+        for cl in classes
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -318,24 +335,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Every circuit owns a seed derived from (config seed, setup, class), so
     the report is byte-identical for a cold or warm memo.
     """
-    sc, classes = _checked_setup(cfg.qubits, cfg.setup)
-
-    if cfg.expand_permutations:
-        jobs = [
-            (str(s), coeff, 1, derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "term", str(s)))
-            for coeff, s in sc.polynomial.terms
-        ]
-    else:
-        jobs = [
-            (
-                "X" * (cfg.qubits - cl.y_count) + "Y" * cl.y_count,
-                cl.coefficient,
-                cl.multiplicity,
-                derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "class", cl.y_count),
-            )
-            for cl in classes
-        ]
-    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, jobs)
+    sc, classes, _, _ = _checked_setup(cfg.qubits, cfg.setup)
+    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, _plan(cfg, sc, classes))
     # A class estimate serves all its copies: weight coefficient * multiplicity.
     total = polynomial_estimate_expanded(
         [(float(t.coefficient) * t.multiplicity, Estimate(t.value, t.error)) for t in terms]
@@ -348,16 +349,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         config=cfg,
-        ghz_phase=sc.ghz_phase,
-        polynomial=sc.polynomial,
         terms=terms,
         value=total.value,
         error=total.error,
-        lr_bound=sc.lr_bound,
-        qm_value=sc.qm_value,
         verdict=VERDICT_VIOLATES if violates else VERDICT_CONSISTENT,
         genuine_fourparty=genuine,
-        published_reference=reference.device_results(cfg.qubits, cfg.setup.value),
     )
 
 
@@ -373,7 +369,7 @@ def run_exchange_test(
     n available permutations.
     """
     qubits = _check_qubits(qubits)
-    shots = check_int("shots", shots, 1)
+    shots = _check_shots(shots)
     seed = check_int("seed", seed)
     noise = _check_noise(noise)
     axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
@@ -386,14 +382,21 @@ def run_exchange_test(
         noise=noise,
         terms=terms,
         spread=exchange_spread([Estimate(t.value, t.error) for t in terms]),
-        published_reference=reference.exchange_results() if qubits == 3 else None,
     )
+
+
+@lru_cache(maxsize=len(QUBIT_COUNTS))
+def _exchange_reference(qubits: int) -> tuple[dict | None, str]:
+    """The published exchange table (three qubits only, else None) and its
+    stored text."""
+    table = reference.exchange_results() if qubits == 3 else None
+    return table, _json(table, 1)
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
 # allow_nan=False) would write for it.  The writers below spell out the
 # per-run fields as templates whose keys are already sorted; the per-cell
-# sections (polynomial, published_reference) are dumped once and reused.
+# text comes from the catalog memo, dumped once per cell.
 
 
 def _dumps(value: object) -> str:
@@ -442,49 +445,10 @@ def _terms_json(terms: tuple[TermEstimate, ...]) -> str:
     ) + "\n  ]"
 
 
-def _polynomial_section(poly: MerminPolynomial) -> str:
-    terms = [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms]
-    return _json({"n": poly.n, "terms": terms, "lr_bound": poly.lr_bound, "qm_value": poly.qm_value}, 1)
-
-
-# Per cell: the checked catalog's polynomial object and its section.
-_POLYNOMIAL_SECTIONS: dict[tuple[int, Setup], tuple[MerminPolynomial, str]] = {}
-
-
-def _polynomial_json(report: ExperimentReport) -> str:
-    """The polynomial section, memoised per cell for the checked catalog's own
-    (immutable) polynomial object, which every report of ``run_experiment``
-    holds; any other polynomial is dumped from itself.  Only a miss looks the
-    cell up in the checked catalog, to learn whether to keep the text."""
-    poly, cell = report.polynomial, (report.config.qubits, report.config.setup)
-    memo = _POLYNOMIAL_SECTIONS.get(cell)
-    if memo is not None and memo[0] is poly:
-        return memo[1]
-    text = _polynomial_section(poly)
-    if poly is _checked_setup(*cell)[0].polynomial:
-        _POLYNOMIAL_SECTIONS[cell] = (poly, text)
-    return text
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _reference_section(key: bytes) -> str:
-    return _json(pickle.loads(key), 1)
-
-
-def _reference_json(ref: object) -> str:
-    """The published_reference section, memoised on the pickle of its
-    current content.  A pickle keeps what ``==`` conflates (9 and 9.0, True
-    and 1, -0.0 and 0.0), so equal keys always dump to equal text."""
-    try:
-        key = pickle.dumps(ref)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return _json(ref, 1)
-    return _reference_section(key)
-
-
 def _experiment_json(report: ExperimentReport) -> str:
     """The stored experiment report: the one writer of its layout."""
     cfg, noise, j = report.config, report.config.noise, _json
+    cell_text = _checked_setup(cfg.qubits, cfg.setup)[3]
     return f"""{{
   "config": {{
     "expand_permutations": {j(cfg.expand_permutations, 2)},
@@ -500,11 +464,7 @@ def _experiment_json(report: ExperimentReport) -> str:
     "violation_sigmas": {j(cfg.violation_sigmas, 2)}
   }},
   "genuine_fourparty": {j(report.genuine_fourparty, 1)},
-  "ghz_phase": {j(report.ghz_phase, 1)},
-  "lr_bound": {j(report.lr_bound, 1)},
-  "polynomial": {_polynomial_json(report)},
-  "published_reference": {_reference_json(report.published_reference)},
-  "qm_value": {j(report.qm_value, 1)},
+{cell_text},
   "result": {{
     "error": {j(report.error, 2)},
     "error_rounded": {j(round_error(report.error), 2)},
@@ -526,7 +486,7 @@ def _exchange_json(report: ExchangeReport) -> str:
     "p2": {j(noise.p2, 2)},
     "readout_flip": {j(noise.readout_flip, 2)}
   }},
-  "published_reference": {_reference_json(report.published_reference)},
+  "published_reference": {_exchange_reference(report.qubits)[1]},
   "qubits": {j(report.qubits, 1)},
   "schema_version": {j(SCHEMA_VERSION, 1)},
   "seed": {j(report.seed, 1)},
@@ -592,7 +552,7 @@ def _csv_lines(report: ExperimentReport) -> list[str]:
 
 def _md_lines(report: ExperimentReport) -> list[str]:
     cfg = report.config
-    ref = report.published_reference
+    sc, _, ref, _ = _checked_setup(cfg.qubits, cfg.setup)
     # Expanded runs have per-permutation columns the published table lacks.
     if cfg.expand_permutations or ref["columns"] != [t.axes for t in report.terms]:
         ref = None
@@ -609,7 +569,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
             lambda row: f"{row['result']:.2f} +/- {ref['result_error']}",
         ),
         "",
-        f"LR bound {report.lr_bound}, QM value {report.qm_value:.6f}, "
+        f"LR bound {sc.lr_bound}, QM value {sc.qm_value:.6f}, "
         f"verdict **{report.verdict}** "
         f"(value - {cfg.violation_sigmas} * error vs LR bound)",
     ]
@@ -639,7 +599,7 @@ def _exchange_md_lines(report: ExchangeReport) -> list[str]:
             report.terms,
             "spread",
             f"{report.spread:.4f}",
-            report.published_reference,
+            _exchange_reference(report.qubits)[0],
             lambda row: f"{row['spread']:.3f}",
         ),
     ]

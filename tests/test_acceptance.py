@@ -126,7 +126,7 @@ def test_criterion_4_shot_pipeline_fidelity(verdict):
     for seed, config in itertools.product(range(50), all_setup_configs()):
         report = run_experiment(ExperimentConfig(qubits=config.n, setup=config.setup, seed=seed))
         total += 1
-        if abs(report.value - report.qm_value) <= 5 * report.error + 1e-12:
+        if abs(report.value - config.qm_value) <= 5 * report.error + 1e-12:
             within += 1
         if report.verdict != "VIOLATES_LR":
             problems.append(f"seed {seed} {config.n}q/{config.setup.value}: {report.verdict}")

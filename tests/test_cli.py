@@ -62,6 +62,19 @@ def test_run_with_noise_and_output_file(tmp_path, capsys):
     assert payload["config"]["shots"] == 2048
 
 
+@pytest.mark.parametrize(
+    "command", [["run", "--qubits", "3", "--setup", "mermin"], ["exchange-test"]], ids=["run", "exchange-test"]
+)
+def test_unwritable_output_file_exits_one(command, tmp_path, capsys):
+    # A missing directory used to end in a FileNotFoundError traceback.
+    out_file = tmp_path / "missing" / "report.json"
+    assert main([*command, "--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_file.exists()
+    assert captured.err.startswith("merminsim: cannot write the report: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_exchange_test_command(capsys):
     code = main(["exchange-test", "--seed", "4"])
     assert code == 0
@@ -120,8 +133,12 @@ def test_bad_noise_string_exits_one(capsys):
         ["--shots", "2.5"],
         ["--seed", "1.7"],
         ["--workers", "2"],
+        ["--shots", str(10**20)],
     ],
-    ids=["nan-sigmas", "inf-sigmas", "fractional-shots", "fractional-seed", "removed-workers-flag"],
+    ids=[
+        "nan-sigmas", "inf-sigmas", "fractional-shots", "fractional-seed", "removed-workers-flag",
+        "shots-beyond-int64",
+    ],
 )
 def test_invalid_run_inputs_exit_one(extra, capsys):
     assert main(["run", "--qubits", "3", "--setup", "mermin", *extra]) == 1

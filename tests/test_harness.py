@@ -28,9 +28,9 @@ from merminsim.harness import _checked_setup, _exact_distribution
 @pytest.mark.parametrize("config", all_setup_configs(), ids=lambda c: f"{c.n}q-{c.setup.value}")
 def test_noiseless_run_reproduces_quantum_value(config):
     report = run_experiment(ExperimentConfig(qubits=config.n, setup=config.setup, seed=1))
-    assert report.lr_bound == config.lr_bound
-    np.testing.assert_allclose(report.qm_value, config.qm_value, atol=1e-9)
-    assert abs(report.value - report.qm_value) <= 5 * report.error + 1e-12
+    stored = report.to_dict()
+    assert stored["lr_bound"] == config.lr_bound and stored["qm_value"] == config.qm_value
+    assert abs(report.value - config.qm_value) <= 5 * report.error + 1e-12
     assert report.verdict == "VIOLATES_LR"
     assert report.error > 0.0
 
@@ -77,6 +77,16 @@ def test_config_rejects_non_integral_or_bool_shots(shots):
         run_exchange_test(shots=shots)
     cfg = ExperimentConfig(qubits=3, setup="mermin", shots=np.int64(2048))
     assert type(cfg.shots) is int
+
+
+def test_shots_fit_numpys_int64():
+    # numpy's multinomial takes an int64 count; 2**63 used to escape as OverflowError.
+    assert ExperimentConfig(qubits=3, setup="mermin", shots=2**63 - 1).shots == 2**63 - 1
+    assert run_exchange_test(shots=2**63 - 1).shots == 2**63 - 1
+    with pytest.raises(ValueError, match="shots"):
+        ExperimentConfig(qubits=3, setup="mermin", shots=2**63)
+    with pytest.raises(ValueError, match="shots"):
+        run_exchange_test(shots=2**63)
 
 
 @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"])
@@ -154,7 +164,11 @@ def test_report_from_dict_names_a_missing_field(path):
     for key in path[:-1]:
         section = section[key]
     del section[path[-1]]
-    with pytest.raises(ValueError, match=f"lacks field '{path[-1]}'"):
+    # The stored polynomial is compared whole with the catalog's.
+    match = f"lacks field '{path[-1]}'"
+    if path[0] == "polynomial":
+        match = "field 'polynomial' differs from the catalog"
+    with pytest.raises(ValueError, match=match):
         ExperimentReport.from_dict(payload)
 
 
@@ -184,21 +198,24 @@ def test_report_dict_and_json_round_trip():
                 report = run_experiment(cfg)
                 again = ExperimentReport.from_dict(report.to_dict())
                 assert again == report
-                assert all(type(c) is Fraction for c, _ in again.polynomial.terms)
                 assert all(type(t.coefficient) is Fraction for t in again.terms)
                 via_json = ExperimentReport.from_dict(json.loads(render_report(report, "json")))
                 assert via_json == report
 
 
-def _set(path: tuple, value: object) -> Callable[[dict], dict]:
+def _change(path: tuple, change: Callable[[object], object]) -> Callable[[dict], dict]:
     def edit(payload: dict) -> dict:
         section = payload
         for key in path[:-1]:
             section = section[key]
-        section[path[-1]] = value
+        section[path[-1]] = change(section[path[-1]])
         return payload
 
     return edit
+
+
+def _set(path: tuple, value: object) -> Callable[[dict], dict]:
+    return _change(path, lambda _: value)
 
 
 @pytest.mark.parametrize(
@@ -239,6 +256,15 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         _set(("genuine_fourparty",), "yes"),
         _set(("genuine_fourparty",), 0),
         _set(("published_reference",), None),
+        _set(("terms", 0, "y_count"), 7),
+        _set(("terms", 0, "axes"), "ZZQ"),
+        _change(("terms",), lambda terms: terms[:-1]),
+        _set(("terms", 0, "coefficient"), [2, 2]),
+        _set(("published_reference",), {}),
+        _set(("lr_bound",), 2),
+        _set(("published_reference", "rows", "Vigo", "result"), 3),
+        _set(("published_reference", "rows", "Vigo", "result"), True),
+        _change(("ghz_phase",), lambda phase: phase + 0.1),
     ],
     ids=[
         "payload-list", "payload-none", "result-int", "terms-int", "terms-str", "term-int", "config-str",
@@ -248,29 +274,57 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         "result-error-str", "result-value-nan", "term-value-null", "term-error-bool", "term-y-count-str",
         "term-multiplicity-float", "term-seed-bool", "term-axes-int", "coefficient-bool", "ghz-phase-str",
         "lr-bound-list", "qm-value-inf", "polynomial-n-float", "polynomial-qm-value-null", "verdict-unknown",
-        "flag-str", "flag-int", "reference-null",
+        "flag-str", "flag-int", "reference-null", "term-y-count-7", "term-axes-unknown", "term-dropped",
+        "coefficient-unreduced", "reference-empty", "lr-bound-int", "reference-result-int",
+        "reference-result-bool", "ghz-phase-shifted",
     ],
 )
 def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
     # These used to escape as AttributeError, TypeError, IndexError,
     # ZeroDivisionError or OverflowError, or to load and then fail (or pass
-    # silently) when rendered.
+    # silently) when rendered.  A per-cell field that is not the catalog's,
+    # byte for byte, or a term that is not the run's plan is refused too.
     payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
     with pytest.raises(ValueError):
         ExperimentReport.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_set(("published_reference",), {}), "field 'published_reference' differs from the catalog"),
+        (_set(("lr_bound",), 2), "field 'lr_bound' differs from the catalog"),
+        (_set(("terms", 0, "y_count"), 7), "terms differ from the run's plan"),
+    ],
+    ids=["reference-empty", "lr-bound-int", "term-y-count-7"],
+)
+def test_report_from_dict_says_what_differs(edit, match):
+    payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
+    with pytest.raises(ValueError, match=match):
+        ExperimentReport.from_dict(payload)
+
+
+@pytest.mark.parametrize("path", [("config", "seed"), ("terms", 0, "seed")], ids=["config", "term"])
+def test_seeds_load_as_stored(path):
+    # Seeds are not checked against the plan: a report whose seed was edited
+    # loads and renders its own bytes, and it is the caller who compares the
+    # stored config with the request.
+    payload = _change(path, lambda seed: seed + 1)(
+        run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
+    )
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert render_report(ExperimentReport.from_dict(json.loads(text)), "json") == text
+
+
 def test_stored_values_keep_their_type_on_reload():
-    # Loading checks types without coercing, so an int stays an int and the
-    # reloaded report renders the bytes it was loaded from.
+    # Loading checks the measurements' types without coercing, so an int stays
+    # an int and the reloaded report renders the bytes it was loaded from.
     payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
     payload["result"]["value"] = 4
     payload["terms"][0]["value"] = 1
-    payload["lr_bound"] = 2
-    payload["published_reference"]["rows"]["Vigo"]["result"] = 3
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     report = ExperimentReport.from_dict(json.loads(text))
-    assert type(report.value) is int and type(report.lr_bound) is int
+    assert type(report.value) is int and type(report.terms[0].value) is int
     assert render_report(report, "json") == text
 
 
@@ -308,7 +362,7 @@ def test_expanded_run_measures_every_permutation():
     report = run_experiment(cfg)
     assert len(report.terms) == 4  # 2**(n-1) individual strings
     assert {t.axes for t in report.terms} == {"XXY", "XYX", "YXX", "YYY"}
-    assert abs(report.value - report.qm_value) <= 5 * report.error + 1e-12
+    assert abs(report.value - 4.0) <= 5 * report.error + 1e-12  # the 3-qubit QM value
 
 
 def test_csv_report_layout():
@@ -346,14 +400,14 @@ def test_exchange_test_noiseless_terms_are_exact():
     for t in report.terms:
         assert t.value == 1.0
     assert report.spread == 0.0
-    assert report.published_reference is not None
-    assert "Essex" in report.published_reference["rows"]
+    assert "| Essex (published) |" in render_exchange_report(report, "md")
 
 
 def test_exchange_test_other_sizes():
     report = run_exchange_test(seed=3, qubits=4)
     assert [t.axes for t in report.terms] == ["XXXY", "XXYX", "XYXX", "YXXX"]
-    assert report.published_reference is None
+    assert report.to_dict()["published_reference"] is None
+    assert "(published)" not in render_exchange_report(report, "md")
     with pytest.raises(ValueError):
         run_exchange_test(qubits=6)
 

@@ -26,6 +26,7 @@ from merminsim import (
 )
 from merminsim import harness
 from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.reference import device_results
 from merminsim.sampling import draw_shots
 
 CELLS = [
@@ -60,9 +61,11 @@ def test_memoised_distribution_is_read_only():
 
 
 def test_checked_setup_entry_is_immutable_and_shared():
-    sc, classes = _checked_setup(4, Setup.AL)
-    assert isinstance(classes, tuple)
-    assert _checked_setup(4, "al") == (sc, classes)
+    entry = _checked_setup(4, Setup.AL)
+    sc, classes, table, text = entry
+    assert isinstance(entry, tuple) and isinstance(classes, tuple) and sc.setup is Setup.AL
+    assert table == device_results(4, "al") and text.startswith('  "ghz_phase": ')
+    assert _checked_setup(4, "al") is entry
     assert _checked_setup.cache_info().hits == 1
 
 
