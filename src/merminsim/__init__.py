@@ -42,7 +42,6 @@ from .sampling import (
     derive_seed,
     exchange_spread,
     expectation_from_counts,
-    polynomial_estimate,
     polynomial_estimate_expanded,
     round_error,
     sample_shots,
@@ -97,7 +96,6 @@ __all__ = [
     "derive_seed",
     "exchange_spread",
     "expectation_from_counts",
-    "polynomial_estimate",
     "polynomial_estimate_expanded",
     "round_error",
     "sample_shots",

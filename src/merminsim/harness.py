@@ -86,31 +86,6 @@ def _mapping(d: dict, key: str) -> dict:
     return section
 
 
-# Stored measurements are checked for their type only and loaded as they
-# stand, so a reloaded report renders to the bytes it was loaded from.
-
-
-def _real(d: dict, key: str) -> float:
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"stored report field {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-def _verdict(d: dict) -> str:
-    verdict = d["verdict"]
-    if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
-        raise ValueError(f"stored report field 'verdict' must be one of the two verdicts, got {verdict!r}")
-    return verdict
-
-
-def _flag(d: dict) -> bool | None:
-    flag = d["genuine_fourparty"]
-    if flag is not None and not isinstance(flag, bool):
-        raise ValueError(f"stored report field 'genuine_fourparty' must be true, false or null, got {flag!r}")
-    return flag
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubits: int
@@ -165,11 +140,12 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        """Load a stored report through the constructors and their checks,
-        recomputing nothing.  What the catalog and the config fix must match,
-        byte for byte: the per-cell fields the catalog's text and each term's
-        axes, coefficient, multiplicity and y_count the run's plan.  A term's
-        seed is loaded as stored.  A wrong shape raises ``ValueError``."""
+        """Load a stored report: read each field into the report's types,
+        recomputing nothing, and refuse it unless it renders back to the same
+        JSON.  So every field the writer derives (per-cell fields, term plan,
+        ``error_rounded``) must be the writer's, byte for byte; seeds,
+        measurements and config inputs load as stored.  A wrong shape raises
+        ``ValueError``."""
         try:
             if d.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
@@ -184,31 +160,34 @@ class ExperimentReport:
                 expand_permutations=cfg["expand_permutations"],
                 violation_sigmas=cfg["violation_sigmas"],
             )
-            sc, classes, _, cell_text = _checked_setup(config.qubits, config.setup)
-            cell = {k: d[k] for k in ("ghz_phase", "lr_bound", "polynomial", "published_reference", "qm_value")}
-            if _dumps(cell)[2:-2] != cell_text:
-                catalog = json.loads("{" + cell_text + "}")
-                field = next(k for k in cell if _dumps(cell[k]) != _dumps(catalog[k]))
-                raise ValueError(f"stored report field {field!r} differs from the catalog")
-            plan = _plan(config, sc, classes)
-            ids = ("axes", "coefficient", "multiplicity", "y_count")
-            want = [dict(zip(ids, (a, [c.numerator, c.denominator], m, a.count("Y")))) for a, c, m, _ in plan]
-            if _dumps([{k: t[k] for k in ids} for t in d["terms"]]) != _dumps(want):
-                raise ValueError("stored terms differ from the run's plan")
+            sc, classes, _, _ = _checked_setup(config.qubits, config.setup)
             terms = tuple(
                 TermEstimate(
-                    a.count("Y"), a, c, m, _real(t, "value"), _real(t, "error"), check_int("term seed", t["seed"])
+                    a.count("Y"),
+                    a,
+                    c,
+                    m,
+                    check_real("term value", t["value"], -math.inf),
+                    check_real("term error", t["error"], 0.0),
+                    check_int("term seed", t["seed"]),
                 )
-                for (a, c, m, _), t in zip(plan, d["terms"])
+                for (a, c, m, _), t in zip(_plan(config, sc, classes), d["terms"], strict=True)
             )
-            return cls(
+            flag = d["genuine_fourparty"]
+            report = cls(
                 config=config,
                 terms=terms,
-                value=_real(result, "value"),
-                error=_real(result, "error"),
-                verdict=_verdict(d),
-                genuine_fourparty=_flag(d),
+                value=check_real("result value", result["value"], -math.inf),
+                error=check_real("result error", result["error"], 0.0),
+                verdict=VERDICT_VIOLATES if d["verdict"] == VERDICT_VIOLATES else VERDICT_CONSISTENT,
+                genuine_fourparty=None if flag is None else flag is True,
             )
+            again = report.to_dict()
+            if _dumps(d) != _dumps(again):
+                keys = sorted(d.keys() | again.keys())
+                key = next(k for k in keys if k not in d or k not in again or _dumps(d[k]) != _dumps(again[k]))
+                raise ValueError(f"stored report field {key!r} is not what the report re-renders")
+            return report
         except KeyError as exc:  # from any nested section: config, terms, result
             raise ValueError(f"stored report lacks field {exc.args[0]!r}") from None
         except (TypeError, AttributeError, IndexError, ArithmeticError) as exc:
@@ -225,11 +204,6 @@ class ExchangeReport:
     noise: NoiseModel
     terms: tuple[TermEstimate, ...]
     spread: float
-
-    def to_dict(self) -> dict:
-        """The stored report as data: the JSON text ``render_exchange_report``
-        writes, parsed."""
-        return json.loads(_exchange_json(self))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -14,12 +14,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .pauli import mask_parity
-from .polynomials import SymmetryClass
 from .statevector import MAX_QUBITS
 
 # (-1)**popcount(i) for every outcome index i of up to MAX_QUBITS bits.
@@ -125,23 +124,6 @@ def expectation_from_counts(counts: ShotCounts) -> Estimate:
             value += sign * p_hat
             var += p_hat * (1.0 - p_hat) / total
     return Estimate(value, math.sqrt(var))
-
-
-def polynomial_estimate(
-    classes: Iterable[SymmetryClass], term_estimates: Mapping[int, Estimate]
-) -> Estimate:
-    """Combine one estimate per symmetry class into the polynomial estimate.
-
-    Each class contributes coefficient * multiplicity * estimate; the same
-    measured number serves all multiplicity copies, so its error enters with
-    the full weight (coefficient * multiplicity), not its square root.
-    """
-    parts = []
-    for cl in classes:
-        if cl.y_count not in term_estimates:
-            raise ValueError(f"missing estimate for Y={cl.y_count} class")
-        parts.append((float(cl.coefficient) * cl.multiplicity, term_estimates[cl.y_count]))
-    return polynomial_estimate_expanded(parts)
 
 
 def polynomial_estimate_expanded(

@@ -31,7 +31,7 @@ from merminsim import (
     lr_bound_formula,
     measurement_transform,
     mermin_direct,
-    polynomial_estimate,
+    polynomial_estimate_expanded,
     primed,
     probabilities,
     render_report,
@@ -148,9 +148,9 @@ def test_criterion_5_error_propagation(verdict):
     problems = []
     # (a) Per-term 0.007 propagates to sqrt(10)*0.007 ~ 0.0221 for the
     # three-qubit polynomial and displays as 0.02.
-    est = polynomial_estimate(
-        collapse(mermin_direct(3)),
-        {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)},
+    published = {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)}
+    est = polynomial_estimate_expanded(
+        [(float(cl.coefficient) * cl.multiplicity, published[cl.y_count]) for cl in collapse(mermin_direct(3))]
     )
     if abs(est.error - 0.007 * math.sqrt(10)) > 1e-15:
         problems.append(f"propagated error {est.error!r}")

@@ -164,10 +164,10 @@ def test_report_from_dict_names_a_missing_field(path):
     for key in path[:-1]:
         section = section[key]
     del section[path[-1]]
-    # The stored polynomial is compared whole with the catalog's.
+    # The stored polynomial is not read, only compared in the re-render.
     match = f"lacks field '{path[-1]}'"
     if path[0] == "polynomial":
-        match = "field 'polynomial' differs from the catalog"
+        match = "field 'polynomial' is not what the report re-renders"
     with pytest.raises(ValueError, match=match):
         ExperimentReport.from_dict(payload)
 
@@ -203,11 +203,15 @@ def test_report_dict_and_json_round_trip():
                 assert via_json == report
 
 
+def _parent(payload: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
 def _change(path: tuple, change: Callable[[object], object]) -> Callable[[dict], dict]:
     def edit(payload: dict) -> dict:
-        section = payload
-        for key in path[:-1]:
-            section = section[key]
+        section = _parent(payload, path)
         section[path[-1]] = change(section[path[-1]])
         return payload
 
@@ -215,7 +219,13 @@ def _change(path: tuple, change: Callable[[object], object]) -> Callable[[dict],
 
 
 def _set(path: tuple, value: object) -> Callable[[dict], dict]:
-    return _change(path, lambda _: value)
+    """Set ``path`` to ``value``; a missing last key is added."""
+
+    def edit(payload: dict) -> dict:
+        _parent(payload, path)[path[-1]] = value
+        return payload
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -265,6 +275,14 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         _set(("published_reference", "rows", "Vigo", "result"), 3),
         _set(("published_reference", "rows", "Vigo", "result"), True),
         _change(("ghz_phase",), lambda phase: phase + 0.1),
+        _set(("terms", 0, "error_rounded"), 5),
+        _set(("result", "error_rounded"), "x"),
+        _set(("extra",), 1),
+        _set(("config", "extra"), 1),
+        _set(("config", "noise", "extra"), 1),
+        _set(("terms", 0, "extra"), 1),
+        _set(("terms", 0, "error"), -0.1),
+        _set(("result", "value"), 4),
     ],
     ids=[
         "payload-list", "payload-none", "result-int", "terms-int", "terms-str", "term-int", "config-str",
@@ -276,14 +294,17 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         "lr-bound-list", "qm-value-inf", "polynomial-n-float", "polynomial-qm-value-null", "verdict-unknown",
         "flag-str", "flag-int", "reference-null", "term-y-count-7", "term-axes-unknown", "term-dropped",
         "coefficient-unreduced", "reference-empty", "lr-bound-int", "reference-result-int",
-        "reference-result-bool", "ghz-phase-shifted",
+        "reference-result-bool", "ghz-phase-shifted", "term-error-rounded-int", "result-error-rounded-str",
+        "extra-key", "config-extra-key", "noise-extra-key", "term-extra-key", "term-error-negative",
+        "result-value-int",
     ],
 )
 def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
     # These used to escape as AttributeError, TypeError, IndexError,
     # ZeroDivisionError or OverflowError, or to load and then fail (or pass
-    # silently) when rendered.  A per-cell field that is not the catalog's,
-    # byte for byte, or a term that is not the run's plan is refused too.
+    # silently) when rendered.  A payload that does not render back to
+    # itself is refused too: a per-cell field that is not the catalog's, a
+    # term that is not the run's plan, a wrong error_rounded, an extra key.
     payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
     with pytest.raises(ValueError):
         ExperimentReport.from_dict(payload)
@@ -292,11 +313,13 @@ def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (_set(("published_reference",), {}), "field 'published_reference' differs from the catalog"),
-        (_set(("lr_bound",), 2), "field 'lr_bound' differs from the catalog"),
-        (_set(("terms", 0, "y_count"), 7), "terms differ from the run's plan"),
+        (_set(("published_reference",), {}), "field 'published_reference' is not what the report re-renders"),
+        (_set(("lr_bound",), 2), "field 'lr_bound' is not what the report re-renders"),
+        (_set(("terms", 0, "y_count"), 7), "field 'terms' is not what the report re-renders"),
+        (_set(("result", "error_rounded"), 5), "field 'result' is not what the report re-renders"),
+        (_set(("extra",), None), "field 'extra' is not what the report re-renders"),
     ],
-    ids=["reference-empty", "lr-bound-int", "term-y-count-7"],
+    ids=["reference-empty", "lr-bound-int", "term-y-count-7", "result-error-rounded", "extra-key-null"],
 )
 def test_report_from_dict_says_what_differs(edit, match):
     payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
@@ -316,16 +339,34 @@ def test_seeds_load_as_stored(path):
     assert render_report(ExperimentReport.from_dict(json.loads(text)), "json") == text
 
 
-def test_stored_values_keep_their_type_on_reload():
-    # Loading checks the measurements' types without coercing, so an int stays
-    # an int and the reloaded report renders the bytes it was loaded from.
-    payload = run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict()
-    payload["result"]["value"] = 4
-    payload["terms"][0]["value"] = 1
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    report = ExperimentReport.from_dict(json.loads(text))
-    assert type(report.value) is int and type(report.terms[0].value) is int
-    assert render_report(report, "json") == text
+def test_int_values_are_refused_on_reload():
+    # A value is read as a float, which renders 4.0, so a stored int 4 (which
+    # the writer never produces) does not render back and is refused.
+    for path in (("result", "value"), ("terms", 0, "value")):
+        payload = _set(path, 4)(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())
+        with pytest.raises(ValueError, match=f"field '{path[0]}' is not what the report re-renders"):
+            ExperimentReport.from_dict(payload)
+
+
+def _leaf_paths(node: object, path: tuple = ()) -> list[tuple]:
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _leaf_paths(v, path + (k,))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _leaf_paths(v, path + (i,))]
+    return [path]
+
+
+def test_every_leaf_set_to_a_string_is_refused():
+    cfg = ExperimentConfig(
+        qubits=4, setup="al", seed=5, noise=NoiseModel(0.01, 0.02, 0.03), expand_permutations=True
+    )
+    payload = run_experiment(cfg).to_dict()
+    paths = _leaf_paths(payload)
+    assert len(paths) > 100
+    for path in paths:
+        edited = _set(path, "x")(json.loads(json.dumps(payload)))
+        with pytest.raises(ValueError):
+            ExperimentReport.from_dict(edited)
 
 
 def test_report_rejects_unknown_schema_version():
@@ -406,7 +447,7 @@ def test_exchange_test_noiseless_terms_are_exact():
 def test_exchange_test_other_sizes():
     report = run_exchange_test(seed=3, qubits=4)
     assert [t.axes for t in report.terms] == ["XXXY", "XXYX", "XYXX", "YXXX"]
-    assert report.to_dict()["published_reference"] is None
+    assert json.loads(render_exchange_report(report, "json"))["published_reference"] is None
     assert "(published)" not in render_exchange_report(report, "md")
     with pytest.raises(ValueError):
         run_exchange_test(qubits=6)

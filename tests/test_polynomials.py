@@ -159,8 +159,8 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
 
 def test_polynomial_serialization_round_trip():
     # Polynomials are stored only inside a report, so the round trip goes
-    # through the report writer and reader; the reader takes the stored
-    # polynomial only if it is the catalog's.
+    # through the report writer and reader; the reader takes the report
+    # only if its stored polynomial is the one the report re-renders.
     cases = (
         (mermin_direct(3), 3, "mermin"),
         (alsina_recursive(4), 4, "al-mod"),
@@ -178,7 +178,7 @@ def test_polynomial_serialization_round_trip():
         assert again == poly
         ExperimentReport.from_dict(payload)
         stored["terms"][0]["coefficient"][0] *= -1
-        with pytest.raises(ValueError, match="field .polynomial. differs from the catalog"):
+        with pytest.raises(ValueError, match="field 'polynomial' is not what the report re-renders"):
             ExperimentReport.from_dict(payload)
 
 

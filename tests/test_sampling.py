@@ -17,7 +17,6 @@ from merminsim import (
     exchange_spread,
     expectation_from_counts,
     mermin_direct,
-    polynomial_estimate,
     polynomial_estimate_expanded,
     round_error,
     sample_shots,
@@ -137,14 +136,18 @@ def test_estimate_rejects_negative_error():
         Estimate(0.5, -0.1)
 
 
+def _class_estimate(poly, estimates: dict[int, Estimate]) -> Estimate:
+    """One estimate per symmetry class (keyed by its Y count), each weighted
+    by coefficient * multiplicity, as a class-mode run combines them."""
+    return polynomial_estimate_expanded(
+        [(float(cl.coefficient) * cl.multiplicity, estimates[cl.y_count]) for cl in collapse(poly)]
+    )
+
+
 def test_three_qubit_polynomial_estimate_published_row():
     # Published three-qubit row: 3*(0.847) - (-0.799) = 3.34 with the
     # +-0.007 per-term column giving sqrt(10)*0.007 ~ 0.022, displayed 0.02.
-    classes = collapse(mermin_direct(3))
-    est = polynomial_estimate(
-        classes,
-        {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)},
-    )
+    est = _class_estimate(mermin_direct(3), {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)})
     np.testing.assert_allclose(est.value, 3.340, atol=1e-12)
     np.testing.assert_allclose(est.error, 0.007 * math.sqrt(10), atol=1e-15)
     assert round_error(est.error) == pytest.approx(0.02, abs=1e-15)
@@ -154,14 +157,9 @@ def test_five_qubit_polynomial_estimate_published_row():
     # Published five-qubit row: 5*(0.711) + 10*(0.622) + 0.554 = 10.329.
     # The displayed +-0.08 stems from the unrounded per-term errors
     # (~0.00756); feeding back the rounded 0.008 display value gives 0.090.
-    classes = collapse(mermin_direct(5))
-    est = polynomial_estimate(
-        classes,
-        {
-            1: Estimate(0.711, 0.008),
-            3: Estimate(-0.622, 0.008),
-            5: Estimate(0.554, 0.008),
-        },
+    est = _class_estimate(
+        mermin_direct(5),
+        {1: Estimate(0.711, 0.008), 3: Estimate(-0.622, 0.008), 5: Estimate(0.554, 0.008)},
     )
     assert round(est.value, 2) == 10.33
     np.testing.assert_allclose(est.error, 0.008 * math.sqrt(126), atol=1e-15)
@@ -171,16 +169,9 @@ def test_five_qubit_polynomial_estimate_published_row():
     assert round_error(true_per_term * math.sqrt(126)) == pytest.approx(0.08, abs=1e-15)
 
 
-def test_polynomial_estimate_requires_every_class():
-    classes = collapse(mermin_direct(3))
-    with pytest.raises(ValueError):
-        polynomial_estimate(classes, {1: Estimate(0.8, 0.01)})
-
-
 def test_polynomial_estimate_identity_on_single_class():
-    single = collapse(mermin_direct(3))[1:]  # the Y=3 class, coefficient -1, multiplicity 1
-    est = Estimate(0.7, 0.01)
-    combined = polynomial_estimate(single, {3: est})
+    cl = collapse(mermin_direct(3))[1]  # the Y=3 class, coefficient -1, multiplicity 1
+    combined = polynomial_estimate_expanded([(float(cl.coefficient) * cl.multiplicity, Estimate(0.7, 0.01))])
     np.testing.assert_allclose(combined.value, -0.7, atol=1e-15)
     np.testing.assert_allclose(combined.error, 0.01, atol=1e-15)
 
