@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,17 +26,17 @@ from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
 from .pauli import PauliString, exact_expectation
-from .polynomials import CHECK_TOL, EigencheckError, SymmetryClass, collapse, eigencheck
+from .polynomials import CHECK_TOL, EigencheckError, collapse, eigencheck
 from .sampling import (
     _PARITY_SIGNS,
-    Estimate,
     check_int,
     check_real,
     checked_weights,
-    derive_seed,
-    draw_shots,
+    derive_seeds,
+    seed_label,
+    draw_counts,
     exchange_spread,
-    expectation_from_counts,
+    parity_estimates,
     polynomial_estimate_expanded,
     round_error,
 )
@@ -160,18 +160,23 @@ class ExperimentReport:
                 expand_permutations=cfg["expand_permutations"],
                 violation_sigmas=cfg["violation_sigmas"],
             )
-            sc, classes, _, _ = _checked_setup(config.qubits, config.setup)
+            plan = _checked_setup(config.qubits, config.setup)[1][config.expand_permutations]
+            stored = d["terms"]
+            if len(stored) != len(plan):
+                raise ValueError(
+                    f"stored report field 'terms' lists {len(stored)} terms; the run measures {len(plan)}"
+                )
             terms = tuple(
                 TermEstimate(
-                    a.count("Y"),
-                    a,
-                    c,
-                    m,
+                    e.y_count,
+                    e.axes,
+                    e.coefficient,
+                    e.multiplicity,
                     check_real("term value", t["value"], -math.inf),
                     check_real("term error", t["error"], 0.0),
                     check_int("term seed", t["seed"]),
                 )
-                for (a, c, m, _), t in zip(_plan(config, sc, classes), d["terms"], strict=True)
+                for e, t in zip(plan, stored)
             )
             flag = d["genuine_fourparty"]
             report = cls(
@@ -216,19 +221,42 @@ def _exact_distribution(n: int, phase: float, axes: str, noise: NoiseModel) -> n
     return checked_weights(outcome_probabilities(circuit, noise))
 
 
+class _PlannedTerm(NamedTuple):
+    """One circuit a run measures: what its report term states, the label
+    its seed is derived with from the config seed (``seed_label``), and its
+    weight in the polynomial, coefficient * multiplicity (a class estimate
+    serves all its copies)."""
+
+    axes: str
+    coefficient: Fraction
+    multiplicity: int
+    y_count: int
+    label: bytes
+    weight: float
+
+
+def _planned(axes: str, coefficient: Fraction, multiplicity: int, *label: object) -> _PlannedTerm:
+    weight = float(coefficient) * multiplicity
+    return _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight)
+
+
 def _measure_terms(
-    n: int, phase: float, shots: int, noise: NoiseModel, jobs: list[tuple[str, Fraction, int, int]]
+    n: int, phase: float, shots: int, noise: NoiseModel, plan: tuple[_PlannedTerm, ...], seed: int
 ) -> tuple[TermEstimate, ...]:
-    """Estimate <axes> on GHZ(n, phase) for each (axes, coefficient,
-    multiplicity, seed) job: ``shots`` drawn with ``seed`` from the memoised
-    weights, which is ``sample_shots`` on the exact distribution without
-    checking it again; only the first call per circuit evolves it."""
-    terms = []
-    for axes, coeff, mult, seed in jobs:
-        counts = draw_shots(_exact_distribution(n, phase, axes, noise), shots, seed)
-        est = expectation_from_counts(counts)
-        terms.append(TermEstimate(axes.count("Y"), axes, coeff, mult, est.value, est.error, seed))
-    return tuple(terms)
+    """Estimate <axes> on GHZ(n, phase) for each planned term: its seed
+    derived from ``seed`` and its label, ``shots`` drawn with it from the
+    memoised weights (``sample_shots`` on the exact distribution without
+    checking it again; only the first call per circuit evolves it), and all
+    rows of the run's count matrix estimated in one pass."""
+    seeds = derive_seeds(seed, [t.label for t in plan])
+    counts = draw_counts(
+        [(_exact_distribution(n, phase, t.axes, noise), s) for t, s in zip(plan, seeds)], shots
+    )
+    values, errors = parity_estimates(counts, shots)
+    return tuple(
+        TermEstimate(t.y_count, t.axes, t.coefficient, t.multiplicity, v, e, s)
+        for t, v, e, s in zip(plan, values, errors, seeds)
+    )
 
 
 def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float, float | None]:
@@ -258,11 +286,15 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryClass, ...], dict, str]:
-    """The catalog entry, its symmetry classes, its published table and the
-    stored text of a report's five per-cell fields (the lines between
-    ``genuine_fourparty`` and ``result``).  Bounds are rechecked when the
-    entry is built; a failed recheck raises and is not memoised."""
+def _checked_setup(
+    n: int, setup: Setup
+) -> tuple[SetupConfig, tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]], dict, str]:
+    """The catalog entry, the term plan of each mode (indexed by
+    ``expand_permutations``: one circuit per symmetry class, or every term),
+    its published table and the stored text of a report's five per-cell
+    fields (the lines between ``genuine_fourparty`` and ``result``).  Bounds
+    are rechecked when the entry is built; a failed recheck raises and is not
+    memoised."""
     sc = setup_config(n, setup)
     for name, ok, detail in recheck_bounds(sc)[0]:
         if not ok:
@@ -276,45 +308,36 @@ def _checked_setup(n: int, setup: Setup) -> tuple[SetupConfig, tuple[SymmetryCla
         "published_reference": table,
         "qm_value": sc.qm_value,
     }
-    return sc, tuple(collapse(poly)), table, _dumps(cell)[2:-2]
-
-
-def _plan(
-    cfg: ExperimentConfig, sc: SetupConfig, classes: tuple[SymmetryClass, ...]
-) -> list[tuple[str, Fraction, int, int]]:
-    """The (axes, coefficient, multiplicity, seed) of each circuit a run of
-    ``cfg`` measures: every term when expanded, else one per symmetry class."""
-    if cfg.expand_permutations:
-        return [
-            (str(s), coeff, 1, derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "term", str(s)))
-            for coeff, s in sc.polynomial.terms
-        ]
-    return [
-        (
-            "X" * (cfg.qubits - cl.y_count) + "Y" * cl.y_count,
+    cell_label = (sc.setup.value, sc.n)
+    by_class = tuple(
+        _planned(
+            "X" * (n - cl.y_count) + "Y" * cl.y_count,
             cl.coefficient,
             cl.multiplicity,
-            derive_seed(cfg.seed, cfg.setup.value, cfg.qubits, "class", cl.y_count),
+            *cell_label,
+            "class",
+            cl.y_count,
         )
-        for cl in classes
-    ]
+        for cl in collapse(poly)
+    )
+    every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
+    return sc, (by_class, every_term), table, _dumps(cell)[2:-2]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one full violation test.
 
-    The checked catalog entry and each circuit's checked multinomial weights
-    are memoised per process, so a later run of the cell only derives seeds,
-    draws shots, estimates and builds the report.
+    The checked catalog entry (with each mode's term plan) and each
+    circuit's checked multinomial weights are memoised per process, so a
+    later run of the cell only derives seeds, draws shots, estimates the
+    count matrix and builds the report.
     Every circuit owns a seed derived from (config seed, setup, class), so
     the report is byte-identical for a cold or warm memo.
     """
-    sc, classes, _, _ = _checked_setup(cfg.qubits, cfg.setup)
-    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, _plan(cfg, sc, classes))
-    # A class estimate serves all its copies: weight coefficient * multiplicity.
-    total = polynomial_estimate_expanded(
-        [(float(t.coefficient) * t.multiplicity, Estimate(t.value, t.error)) for t in terms]
-    )
+    sc, plans, _, _ = _checked_setup(cfg.qubits, cfg.setup)
+    plan = plans[cfg.expand_permutations]
+    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, plan, cfg.seed)
+    total = polynomial_estimate_expanded([(p.weight, t) for p, t in zip(plan, terms)])
 
     violates = total.value - cfg.violation_sigmas * total.error > sc.lr_bound
     genuine: bool | None = None
@@ -346,25 +369,28 @@ def run_exchange_test(
     shots = _check_shots(shots)
     seed = check_int("seed", seed)
     noise = _check_noise(noise)
-    axes_list = ["X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits))]
-    jobs = [(axes, Fraction(1), 1, derive_seed(seed, "exchange", qubits, axes)) for axes in axes_list]
-    terms = _measure_terms(qubits, math.pi / 2, shots, noise, jobs)
+    terms = _measure_terms(qubits, math.pi / 2, shots, noise, _exchange_cell(qubits)[0], seed)
     return ExchangeReport(
         qubits=qubits,
         shots=shots,
         seed=seed,
         noise=noise,
         terms=terms,
-        spread=exchange_spread([Estimate(t.value, t.error) for t in terms]),
+        spread=exchange_spread(terms),
     )
 
 
 @lru_cache(maxsize=len(QUBIT_COUNTS))
-def _exchange_reference(qubits: int) -> tuple[dict | None, str]:
-    """The published exchange table (three qubits only, else None) and its
-    stored text."""
+def _exchange_cell(qubits: int) -> tuple[tuple[_PlannedTerm, ...], dict | None, str]:
+    """The exchange test's term plan (the single-Y permutations, Y rightmost
+    first), the published exchange table (three qubits only, else None) and
+    its stored text."""
+    plan = tuple(
+        _planned(axes, Fraction(1), 1, "exchange", qubits, axes)
+        for axes in ("X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits)))
+    )
     table = reference.exchange_results() if qubits == 3 else None
-    return table, _json(table, 1)
+    return plan, table, _json(table, 1)
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
@@ -460,7 +486,7 @@ def _exchange_json(report: ExchangeReport) -> str:
     "p2": {j(noise.p2, 2)},
     "readout_flip": {j(noise.readout_flip, 2)}
   }},
-  "published_reference": {_exchange_reference(report.qubits)[1]},
+  "published_reference": {_exchange_cell(report.qubits)[2]},
   "qubits": {j(report.qubits, 1)},
   "schema_version": {j(SCHEMA_VERSION, 1)},
   "seed": {j(report.seed, 1)},
@@ -573,7 +599,7 @@ def _exchange_md_lines(report: ExchangeReport) -> list[str]:
             report.terms,
             "spread",
             f"{report.spread:.4f}",
-            _exchange_reference(report.qubits)[0],
+            _exchange_cell(report.qubits)[1],
             lambda row: f"{row['spread']:.3f}",
         ),
     ]

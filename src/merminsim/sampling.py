@@ -5,6 +5,9 @@ The per-outcome uncertainty is the plug-in binomial width
 ``sqrt(sum dp^2)`` over outcomes, and a polynomial built from shared class
 estimates inherits ``sqrt(sum (c_k * m_k)^2 d_k^2)`` because every one of the
 ``m_k`` permutation copies reuses the same measured number.
+
+A run's histograms are one ``(circuits, 2**n)`` count matrix, drawn by
+``draw_counts`` and estimated row by row in one pass by ``parity_estimates``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .pauli import mask_parity
 from .statevector import MAX_QUBITS
 
 # (-1)**popcount(i) for every outcome index i of up to MAX_QUBITS bits.
-_PARITY_SIGNS = (1 - 2 * mask_parity(np.arange(1 << MAX_QUBITS), (1 << MAX_QUBITS) - 1)).tolist()
+_PARITY_SIGNS = 1.0 - 2.0 * mask_parity(np.arange(1 << MAX_QUBITS), (1 << MAX_QUBITS) - 1)
 
 
 @dataclass(frozen=True)
@@ -59,17 +62,24 @@ def check_real(name: str, value: object, minimum: float, maximum: float = math.i
 @dataclass(frozen=True)
 class ShotCounts:
     """Outcome histogram of one measured circuit: ``vector[i]`` shots gave
-    outcome ``i``, read MSB-first (qubit 0 is the leftmost bit)."""
+    outcome ``i``, read MSB-first (qubit 0 is the leftmost bit).  Counts are
+    integers (numpy integers are accepted, bools and floats are not) and
+    their total lies in [1, 2**63 - 1], the range of numpy's multinomial."""
 
     n: int
     vector: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        n = check_int("n", self.n)
         # n <= MAX_QUBITS also keeps every outcome inside _PARITY_SIGNS.
-        if not 0 <= self.n <= MAX_QUBITS or len(self.vector) != 1 << self.n:
+        if not 0 <= n <= MAX_QUBITS or len(self.vector) != 1 << n:
             raise ValueError(f"need 2**n counts, n <= {MAX_QUBITS}; got n={self.n}, {len(self.vector)}")
-        if min(self.vector) < 0:
-            raise ValueError("negative count")
+        vector = tuple(check_int("count", c, 0) for c in self.vector)
+        total = sum(vector)
+        if not 1 <= total <= 2**63 - 1:
+            raise ValueError(f"counts must total 1 to 2**63 - 1, got {total}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vector", vector)
 
     @property
     def total(self) -> int:
@@ -98,13 +108,20 @@ def checked_weights(probs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def draw_shots(weights: np.ndarray, shots: int, seed: int) -> ShotCounts:
-    """One multinomial histogram of ``shots`` draws from ``checked_weights``
-    output; identical seeds give identical counts."""
+def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarray:
+    """The int64 count matrix of ``(weights, seed)`` draws: row k is one
+    multinomial histogram of ``shots`` draws from ``checked_weights`` output,
+    from its own generator seeded with seed k, so identical seeds give
+    identical rows."""
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    vec = np.random.default_rng(seed).multinomial(shots, weights)
-    return ShotCounts(weights.size.bit_length() - 1, tuple(vec.tolist()))
+    return np.array([np.random.default_rng(seed).multinomial(shots, w) for w, seed in draws], dtype=np.int64)
+
+
+def draw_shots(weights: np.ndarray, shots: int, seed: int) -> ShotCounts:
+    """One multinomial histogram of ``shots`` draws from ``checked_weights``
+    output: the one row of ``draw_counts``."""
+    return ShotCounts(weights.size.bit_length() - 1, tuple(draw_counts([(weights, seed)], shots)[0].tolist()))
 
 
 def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
@@ -113,24 +130,48 @@ def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
     return draw_shots(checked_weights(probs), shots, seed)
 
 
+def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[float]]:
+    """The parity estimate sum_o p_hat(o) * (-1)**ones(o) of each row of a
+    ``(rows, 2**n)`` count matrix whose rows each total ``shots`` (1 to
+    2**63 - 1), with its plug-in binomial error: the values and the errors,
+    as float lists.
+
+    Bit for bit the loop ``value += sign * p_hat; var += p_hat * (1 - p_hat)
+    / shots`` over a row's outcomes in index order, with ``p_hat`` Python's
+    correctly rounded ``count / shots``.  Like CPython's int division, that
+    quotient is a float division up to 2**53 shots (every count is then
+    exactly a float) and an exact integer division past that.
+    ``np.add.accumulate`` adds in the loop's order, where ``sum`` and
+    ``ndarray.sum`` would not.  A zero bin, which the loop skips, adds +-0.0
+    here, which changes no partial sum: the first is bin 0's term, >= +0.0,
+    so none is -0.0."""
+    if shots <= 2**53:
+        p_hat = counts / float(shots)
+    else:
+        p_hat = np.array([[c / shots for c in row] for row in counts.tolist()])
+    signed = p_hat * _PARITY_SIGNS[: p_hat.shape[1]]
+    spread = 1.0 - p_hat
+    spread *= p_hat
+    spread /= float(shots)
+    values = np.add.accumulate(signed, axis=1)[:, -1]
+    errors = np.sqrt(np.add.accumulate(spread, axis=1)[:, -1])
+    return values.tolist(), errors.tolist()
+
+
 def expectation_from_counts(counts: ShotCounts) -> Estimate:
-    """Parity estimator sum_o p_hat(o) * (-1)**ones(o) with plug-in binomial error."""
-    total = counts.total
-    value = 0.0
-    var = 0.0
-    for c, sign in zip(counts.vector, _PARITY_SIGNS):
-        if c:
-            p_hat = c / total
-            value += sign * p_hat
-            var += p_hat * (1.0 - p_hat) / total
-    return Estimate(value, math.sqrt(var))
+    """Parity estimator sum_o p_hat(o) * (-1)**ones(o) with plug-in binomial
+    error: ``parity_estimates`` of the one-row matrix."""
+    values, errors = parity_estimates(np.array([counts.vector], dtype=np.int64), counts.total)
+    return Estimate(values[0], errors[0])
 
 
 def polynomial_estimate_expanded(
     parts: Sequence[tuple[Fraction | float, Estimate]],
 ) -> Estimate:
     """Combine independent measurements, each with its weight (a term's coefficient,
-    or a class's coefficient * multiplicity): errors add in quadrature."""
+    or a class's coefficient * multiplicity): errors add in quadrature.  A
+    measurement is anything with a ``value`` and an ``error``, such as a
+    report's terms."""
     value = 0.0
     var = 0.0
     for coeff, est in parts:
@@ -141,7 +182,8 @@ def polynomial_estimate_expanded(
 
 
 def exchange_spread(estimates: Sequence[Estimate]) -> float:
-    """Sample standard deviation (n-1 divisor) of the estimate values."""
+    """Sample standard deviation (n-1 divisor) of the estimate values (of
+    anything with a ``value``, such as a report's terms)."""
     if len(estimates) < 2:
         raise ValueError("need at least two estimates")
     return float(np.std([e.value for e in estimates], ddof=1))
@@ -162,11 +204,29 @@ def round_error(error: float) -> float:
     return leading * (10.0**exponent)
 
 
+def seed_label(*parts: object) -> bytes:
+    """The context labels of a derived seed, encoded once for
+    ``derive_seeds``: each part as ``"\x1f" + str(part)``, in UTF-8."""
+    return "".join("\x1f" + str(p) for p in parts).encode()
+
+
+def derive_seeds(base_seed: int, labels: Iterable[bytes]) -> list[int]:
+    """One sub-seed per ``seed_label`` label: the first 8 bytes (little
+    endian, shifted right by one) of sha256 over ``str(base_seed)`` and the
+    label.  The base seed is hashed once for all labels."""
+    base = hashlib.sha256(str(int(base_seed)).encode())
+    seeds = []
+    for label in labels:
+        h = base.copy()
+        h.update(label)
+        seeds.append(int.from_bytes(h.digest()[:8], "little") >> 1)
+    return seeds
+
+
 def derive_seed(base_seed: int, *parts: object) -> int:
-    """Stable per-task sub-seed: hash the base seed with context labels.
+    """Stable per-task sub-seed: hash the base seed with context labels
+    (``derive_seeds`` of their ``seed_label``).
 
     Independent of PYTHONHASHSEED and platform so reports reproduce exactly.
     """
-    payload = "\x1f".join([str(int(base_seed)), *[str(p) for p in parts]]).encode()
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "little") >> 1
+    return derive_seeds(base_seed, [seed_label(*parts)])[0]

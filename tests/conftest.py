@@ -27,7 +27,7 @@ def cold_memo():
     a catalog entry or distribution built by another (or before a patch)."""
     _checked_setup.cache_clear()
     _exact_distribution.cache_clear()
-    harness._exchange_reference.cache_clear()
+    harness._exchange_cell.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

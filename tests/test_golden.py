@@ -1,20 +1,35 @@
-"""Golden reports: four stored CLI outputs that pin the report bytes.
+"""Golden reports: four stored CLI outputs and two digests that pin the
+report bytes.
 
 Each file under ``tests/data`` is the stdout of the command beside it.  A
 fresh run must print exactly those bytes, and a stored experiment report,
 loaded with ``ExperimentReport.from_dict`` and rendered again, must give them
-back.  The files were written with numpy 2.4.6; the sampled values depend on
-numpy's multinomial draws, so another numpy release may move them.
+back.  The digests cover every cell in every format at four noise levels,
+and the audit commands' output, so a change of summation order anywhere in
+estimation or combination shows on every Python version the tests run on.
+The files and digests were made with numpy 2.4.6; the sampled values depend
+on numpy's multinomial draws, so another numpy release may move them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from merminsim import ExperimentReport, render_report
+from merminsim import (
+    ExperimentConfig,
+    ExperimentReport,
+    NoiseModel,
+    render_exchange_report,
+    render_report,
+    run_exchange_test,
+    run_experiment,
+)
 from merminsim.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -49,3 +64,49 @@ def test_golden_file_is_json_dumps_of_its_content(name):
     # The writer's templates must keep json.dumps's layout: sorted keys, two-space indent.
     text = (DATA / name).read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _sweep_texts():
+    """The 720 reports of the digest, in its order: for each p in 0, .01, .02
+    and .03 (p1 = p2 = readout = p), ``run_experiment`` over 3/4/5 qubits x
+    mermin/al/al-mod x class/expanded x seeds 0/7/12345 x json/csv/md, then
+    ``run_exchange_test`` over 3/4/5 qubits x seeds 0/3 x the three formats."""
+    for p in (0.0, 0.01, 0.02, 0.03):
+        noise = NoiseModel(p, p, p)
+        for qubits in (3, 4, 5):
+            for setup in ("mermin", "al", "al-mod"):
+                for expand in (False, True):
+                    for seed in (0, 7, 12345):
+                        cfg = ExperimentConfig(
+                            qubits=qubits, setup=setup, seed=seed, noise=noise, expand_permutations=expand
+                        )
+                        report = run_experiment(cfg)
+                        for fmt in ("json", "csv", "md"):
+                            yield render_report(report, fmt)
+        for qubits in (3, 4, 5):
+            for seed in (0, 3):
+                report = run_exchange_test(seed=seed, noise=noise, qubits=qubits)
+                for fmt in ("json", "csv", "md"):
+                    yield render_exchange_report(report, fmt)
+
+
+def test_sweep_reports_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for text in _sweep_texts():
+        digest.update(text.encode())
+        count += 1
+    assert count == 720
+    assert digest.hexdigest() == "b3b78780b85989843550372e885cc953617431a2b765a87e9502d9f257214656"
+
+
+def test_bounds_and_verify_stdout_digest():
+    # ``bounds`` for the nine cells (3/4/5 qubits x mermin/al/al-mod), then ``verify``.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for qubits in ("3", "4", "5"):
+            for setup in ("mermin", "al", "al-mod"):
+                assert main(["bounds", "--qubits", qubits, "--setup", setup]) == 0
+        assert main(["verify"]) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "4648902696453f3e4ea5c4e891d00d70ad348039635e3ca342f5e961f70edfa3"

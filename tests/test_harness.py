@@ -318,8 +318,13 @@ def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
         (_set(("terms", 0, "y_count"), 7), "field 'terms' is not what the report re-renders"),
         (_set(("result", "error_rounded"), 5), "field 'result' is not what the report re-renders"),
         (_set(("extra",), None), "field 'extra' is not what the report re-renders"),
+        (_change(("terms",), lambda terms: terms[:-1]), "field 'terms' lists 1 terms; the run measures 2"),
+        (_change(("terms",), lambda terms: terms + terms[:1]), "field 'terms' lists 3 terms; the run measures 2"),
     ],
-    ids=["reference-empty", "lr-bound-int", "term-y-count-7", "result-error-rounded", "extra-key-null"],
+    ids=[
+        "reference-empty", "lr-bound-int", "term-y-count-7", "result-error-rounded", "extra-key-null",
+        "term-dropped", "term-extra",
+    ],
 )
 def test_report_from_dict_says_what_differs(edit, match):
     payload = edit(run_experiment(ExperimentConfig(qubits=3, setup="mermin")).to_dict())

@@ -62,8 +62,9 @@ def test_memoised_distribution_is_read_only():
 
 def test_checked_setup_entry_is_immutable_and_shared():
     entry = _checked_setup(4, Setup.AL)
-    sc, classes, table, text = entry
-    assert isinstance(entry, tuple) and isinstance(classes, tuple) and sc.setup is Setup.AL
+    sc, plans, table, text = entry
+    assert isinstance(entry, tuple) and sc.setup is Setup.AL
+    assert isinstance(plans, tuple) and all(isinstance(plan, tuple) for plan in plans)
     assert table == device_results(4, "al") and text.startswith('  "ghz_phase": ')
     assert _checked_setup(4, "al") is entry
     assert _checked_setup.cache_info().hits == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -21,7 +22,14 @@ from merminsim import (
     round_error,
     sample_shots,
 )
-from merminsim.sampling import checked_weights, draw_shots
+from merminsim.sampling import (
+    checked_weights,
+    derive_seeds,
+    draw_counts,
+    draw_shots,
+    parity_estimates,
+    seed_label,
+)
 
 
 def test_point_mass_sampling():
@@ -82,6 +90,10 @@ def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
         assert draw_shots(weights, 4096, seed) == sample_shots(probs, 4096, seed)
     with pytest.raises(ValueError, match="at least one shot"):
         draw_shots(weights, 0, seed=0)
+    rows = draw_counts([(weights, 0), (weights, 1), (weights, 0)], 4096)
+    assert rows.dtype == np.int64 and rows.shape == (3, 4)
+    assert tuple(rows[1].tolist()) == draw_shots(weights, 4096, 1).vector
+    assert np.array_equal(rows[0], rows[2])
 
 
 def test_shot_counts_validation_and_round_trips():
@@ -93,6 +105,21 @@ def test_shot_counts_validation_and_round_trips():
         ShotCounts(9, (1,) * 512)  # beyond MAX_QUBITS the parity table would truncate
     with pytest.raises(ValueError):
         ShotCounts(2, (4, 0, -1, 7))
+    # Counts are integers, as check_int reads them: numpy integers are
+    # accepted (and stored as ints), bools and floats are refused.
+    numpy_ints = ShotCounts(np.int64(1), (np.int64(3), np.uint8(1)))
+    assert numpy_ints == ShotCounts(1, (3, 1)) and all(type(c) is int for c in numpy_ints.vector)
+    for bad in [(1.5, True), (1.0, 1), (True, False), (2, 1.0), (np.float64(2.0), 1)]:
+        with pytest.raises(ValueError, match="count must be an integer"):
+            ShotCounts(1, bad)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ShotCounts(True, (1, 1))
+    # The estimator divides by the total, which numpy's multinomial keeps
+    # within an int64.
+    for bad in [(0, 0), (2**63, 0), (2**62, 2**62)]:
+        with pytest.raises(ValueError, match="total"):
+            ShotCounts(1, bad)
+    assert ShotCounts(1, (2**63 - 2, 1)).total == 2**63 - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -105,6 +132,26 @@ def test_expectation_matches_string_keyed_oracle_bit_for_bit(n):
         counts = ShotCounts(n, tuple(vector.tolist()))
         est = expectation_from_counts(counts)
         assert (est.value, est.error) == string_keyed_expectation(counts)
+
+
+@pytest.mark.parametrize("shots", [1, 16384, 2**53, 2**53 + 1, 2**63 - 1], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batch_estimates_match_the_oracle_bit_for_bit(n, shots):
+    # All rows of a count matrix in one pass.  Past 2**53 a count is no
+    # longer exactly a float, so numpy's int64 quotient (both operands
+    # rounded first) can differ from Python's count / shots.
+    rng = np.random.default_rng(200 + n)
+    rows = []
+    for _ in range(60):
+        weights = rng.dirichlet(np.ones(2**n))
+        weights[rng.random(2**n) < 0.3] = 0.0  # zero bins
+        weights[rng.integers(2**n)] += 0.5
+        rows.append(rng.multinomial(shots, weights / weights.sum()))
+    counts = np.array(rows, dtype=np.int64)
+    assert (counts.sum(axis=1) == shots).all()
+    values, errors = parity_estimates(counts, shots)
+    for row, value, error in zip(rows, values, errors):
+        assert (value, error) == string_keyed_expectation(ShotCounts(n, tuple(row.tolist())))
 
 
 def test_expectation_from_balanced_ghz_counts():
@@ -227,3 +274,11 @@ def test_derive_seed_is_stable_and_context_sensitive():
     assert a != derive_seed(7, "mermin", 3, "class", 3)
     assert a != derive_seed(8, "mermin", 3, "class", 1)
     assert 0 <= a < 2**63
+    # The batch form hashes the base seed once and gives the same seeds.
+    parts = [("mermin", 3, "class", 1), ("al", 4, "term", "XXYY"), ("exchange", 5, "XXXXY"), ()]
+    for base in (7, -3, np.int64(2**62)):
+        want = [derive_seed(base, *p) for p in parts]
+        assert derive_seeds(base, [seed_label(*p) for p in parts]) == want
+    assert derive_seed(0, "exchange", 3, "XXY") == int.from_bytes(
+        hashlib.sha256("0\x1fexchange\x1f3\x1fXXY".encode()).digest()[:8], "little"
+    ) >> 1
