@@ -17,6 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +44,8 @@ class Estimate:
 def check_int(name: str, value: object, minimum: int | None = None) -> int:
     """``value`` as a plain int; bools and floats (even integral ones) are
     rejected, numpy integers are accepted."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value  # the common case, before the slower ABC checks
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -52,6 +55,9 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
 
 def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
     """``value`` as a plain float in [minimum, maximum]; bools, strings, nan and inf are rejected."""
+    # The common case first; isfinite, since maximum may be inf.
+    if type(value) is float and minimum <= value <= maximum and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if not minimum <= value <= maximum:
@@ -108,14 +114,48 @@ def checked_weights(probs: np.ndarray) -> np.ndarray:
     return weights
 
 
+# The start of the bytes a row's generator state is hashed from.  Every
+# ``derive_seeds`` input starts with a decimal digit or "-", never with this.
+_STATE_DOMAIN = b"merminsim pcg64\x1f"
+
+
+@cache
+def _construction_seed() -> np.random.SeedSequence:
+    """Seeds the one bit generator of a ``draw_counts`` call, whose state is
+    set before every row anyway.  Built on the first draw, so a process that
+    draws nothing never imports ``numpy.random``; reusing it spares building
+    a sequence (and gathering OS entropy) per call."""
+    return np.random.SeedSequence(0)
+
+
+def generator_state(seed: int) -> dict:
+    """The numpy ``PCG64`` state a row drawn with ``seed`` starts from.
+
+    ``d = sha256(b"merminsim pcg64\\x1f" + str(seed).encode())``; the 128-bit
+    state is ``d[:16]`` and the increment ``d[16:]`` with its low bit set,
+    both read little endian, and no uint32 is buffered.  ``seed`` is any
+    integer >= 0; a negative one raises ``ValueError``."""
+    seed = check_int("seed", seed, 0)
+    d = hashlib.sha256(_STATE_DOMAIN + str(seed).encode()).digest()
+    state = {"state": int.from_bytes(d[:16], "little"), "inc": int.from_bytes(d[16:], "little") | 1}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
 def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarray:
     """The int64 count matrix of ``(weights, seed)`` draws: row k is one
     multinomial histogram of ``shots`` draws from ``checked_weights`` output,
-    from its own generator seeded with seed k, so identical seeds give
-    identical rows."""
+    drawn by one numpy ``Generator`` whose ``PCG64`` is set to
+    ``generator_state(seed)`` first, so a row depends only on its weights
+    and seed, and identical seeds give identical rows."""
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    return np.array([np.random.default_rng(seed).multinomial(shots, w) for w, seed in draws], dtype=np.int64)
+    bit_generator = np.random.PCG64(_construction_seed())
+    generator = np.random.Generator(bit_generator)
+    rows = []
+    for weights, seed in draws:
+        bit_generator.state = generator_state(seed)
+        rows.append(generator.multinomial(shots, weights))
+    return np.array(rows, dtype=np.int64)
 
 
 def draw_shots(weights: np.ndarray, shots: int, seed: int) -> ShotCounts:
@@ -142,20 +182,21 @@ def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[
     quotient is a float division up to 2**53 shots (every count is then
     exactly a float) and an exact integer division past that.
     ``np.add.accumulate`` adds in the loop's order, where ``sum`` and
-    ``ndarray.sum`` would not.  A zero bin, which the loop skips, adds +-0.0
-    here, which changes no partial sum: the first is bin 0's term, >= +0.0,
-    so none is -0.0."""
+    ``ndarray.sum`` would not; it runs in place on the two term arrays, and
+    ``math.sqrt`` rounds correctly, as ``np.sqrt`` does.  A zero bin, which
+    the loop skips, adds +-0.0 here, which changes no partial sum: the first
+    is bin 0's term, >= +0.0, so none is -0.0."""
     if shots <= 2**53:
         p_hat = counts / float(shots)
     else:
         p_hat = np.array([[c / shots for c in row] for row in counts.tolist()])
-    signed = p_hat * _PARITY_SIGNS[: p_hat.shape[1]]
     spread = 1.0 - p_hat
     spread *= p_hat
     spread /= float(shots)
-    values = np.add.accumulate(signed, axis=1)[:, -1]
-    errors = np.sqrt(np.add.accumulate(spread, axis=1)[:, -1])
-    return values.tolist(), errors.tolist()
+    p_hat *= _PARITY_SIGNS[: p_hat.shape[1]]
+    np.add.accumulate(p_hat, axis=1, out=p_hat)
+    np.add.accumulate(spread, axis=1, out=spread)
+    return p_hat[:, -1].tolist(), [math.sqrt(v) for v in spread[:, -1].tolist()]
 
 
 def expectation_from_counts(counts: ShotCounts) -> Estimate:

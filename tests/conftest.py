@@ -18,7 +18,7 @@ import pytest
 
 from merminsim import Circuit, Gate, NoiseModel, ShotCounts
 from merminsim import harness
-from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +27,7 @@ def cold_memo():
     a catalog entry or distribution built by another (or before a patch)."""
     _checked_setup.cache_clear()
     _exact_distribution.cache_clear()
+    _plan_weights.cache_clear()
     harness._exchange_cell.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)

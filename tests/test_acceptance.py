@@ -42,7 +42,7 @@ from merminsim import (
     sample_shots,
     expectation_from_counts,
 )
-from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -255,11 +255,19 @@ def test_criterion_8_genuine_fourparty_flag(verdict):
     mean = float(np.mean(values))
     if not 4.0 < mean < 8.0:
         problems.append(f"noisy mean {mean:.3f} outside (4, 8)")
+    # Exact value 8.081 at p = 0.0125: a value above 8 by less than 3 sigma certifies nothing.
+    near_noise = NoiseModel(p1=0.0125, p2=0.0125, readout_flip=0.0125)
+    near = run_experiment(ExperimentConfig(qubits=4, setup="al", seed=0, noise=near_noise))
+    if not 8.0 < near.value <= 8.0 + 3.0 * near.error:
+        problems.append(f"p=0.0125: value {near.value:.3f} +/- {near.error:.3f} not in (8, 8 + 3 sigma]")
+    elif near.genuine_fourparty is not False:
+        problems.append(f"p=0.0125: value {near.value:.3f} within 3 sigma of 8, flag {near.genuine_fourparty}")
     verdict(
         8,
         not problems,
         problems
-        or f"clean {clean.value:.3f} flagged; at p=0.02 mean {mean:.3f} clears flag, still violates",
+        or f"clean {clean.value:.3f} flagged; at p=0.02 mean {mean:.3f} clears flag, still violates; "
+        f"{near.value:.3f} +/- {near.error:.3f} at p=0.0125 is within 3 sigma of 8, not flagged",
     )
     assert not problems
 
@@ -274,6 +282,7 @@ def test_criterion_9_deterministic_reports(verdict):
         renders = [render_report(run_experiment(cfg), "json") for _ in range(2)]
         _checked_setup.cache_clear()
         _exact_distribution.cache_clear()
+        _plan_weights.cache_clear()
         renders.append(render_report(run_experiment(cfg), "json"))
         if len(set(renders)) != 1:
             problems.append(f"{cfg.qubits}q/{cfg.setup.value}: reports differ across runs/memo")

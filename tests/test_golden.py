@@ -7,8 +7,11 @@ loaded with ``ExperimentReport.from_dict`` and rendered again, must give them
 back.  The digests cover every cell in every format at four noise levels,
 and the audit commands' output, so a change of summation order anywhere in
 estimation or combination shows on every Python version the tests run on.
-The files and digests were made with numpy 2.4.6; the sampled values depend
-on numpy's multinomial draws, so another numpy release may move them.
+The files and digests were made with numpy 2.4.6.  The sampled values depend
+on numpy's PCG64 bit generator and on its ``Generator.multinomial`` (each row
+drawn from a state set by ``sampling.generator_state``), so a numpy release
+that changes either may move them; the term seeds and the ``bounds`` and
+``verify`` output do not depend on numpy's draws.
 """
 
 from __future__ import annotations
@@ -19,18 +22,26 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import string_keyed_expectation
 from merminsim import (
     ExperimentConfig,
     ExperimentReport,
     NoiseModel,
+    PauliString,
+    ShotCounts,
+    ghz_circuit,
+    measurement_transform,
+    outcome_probabilities,
     render_exchange_report,
     render_report,
     run_exchange_test,
     run_experiment,
 )
 from merminsim.cli import main
+from merminsim.sampling import checked_weights
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +77,30 @@ def test_golden_file_is_json_dumps_of_its_content(name):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def test_a_golden_term_is_drawn_from_its_stored_seed_by_the_documented_recipe():
+    # The README's recipe, with numpy and hashlib alone, from the term's seed
+    # to its counts; the estimate of those counts is the stored one.
+    d = json.loads((DATA / "run_5q_al-mod_seed12345_p01.json").read_text())
+    cfg, term = d["config"], d["terms"][1]
+    axes = PauliString.from_str(term["axes"])
+    circuit = ghz_circuit(cfg["qubits"], d["ghz_phase"]).then(measurement_transform(axes))
+    weights = checked_weights(outcome_probabilities(circuit, NoiseModel(**cfg["noise"])))
+    digest = hashlib.sha256(b"merminsim pcg64\x1f" + str(term["seed"]).encode()).digest()
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": int.from_bytes(digest[:16], "little"),
+            "inc": int.from_bytes(digest[16:], "little") | 1,
+        },
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    counts = np.random.Generator(bit_generator).multinomial(cfg["shots"], weights)
+    estimate = string_keyed_expectation(ShotCounts(cfg["qubits"], tuple(counts.tolist())))
+    assert estimate == (term["value"], term["error"])
+
+
 def _sweep_texts():
     """The 720 reports of the digest, in its order: for each p in 0, .01, .02
     and .03 (p1 = p2 = readout = p), ``run_experiment`` over 3/4/5 qubits x
@@ -97,7 +132,7 @@ def test_sweep_reports_digest():
         digest.update(text.encode())
         count += 1
     assert count == 720
-    assert digest.hexdigest() == "b3b78780b85989843550372e885cc953617431a2b765a87e9502d9f257214656"
+    assert digest.hexdigest() == "36f79678f21cb2d97032ce376c25a94af812ab7c8c955cae6669ecd793d1674d"
 
 
 def test_bounds_and_verify_stdout_digest():

@@ -25,7 +25,7 @@ from merminsim import (
     sample_shots,
 )
 from merminsim import harness
-from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 from merminsim.reference import device_results
 from merminsim.sampling import draw_shots
 
@@ -49,7 +49,7 @@ def test_warm_memo_report_is_byte_identical_to_cold(n, setup, expand, noise):
     cold = _json(n, setup, expand, noise)
     assert _exact_distribution.cache_info().currsize > 0
     warm = _json(n, setup, expand, noise)
-    assert _exact_distribution.cache_info().hits > 0
+    assert _plan_weights.cache_info().hits > 0
     assert warm == cold
 
 

@@ -27,6 +27,7 @@ from merminsim.sampling import (
     derive_seeds,
     draw_counts,
     draw_shots,
+    generator_state,
     parity_estimates,
     seed_label,
 )
@@ -282,3 +283,57 @@ def test_derive_seed_is_stable_and_context_sensitive():
     assert derive_seed(0, "exchange", 3, "XXY") == int.from_bytes(
         hashlib.sha256("0\x1fexchange\x1f3\x1fXXY".encode()).digest()[:8], "little"
     ) >> 1
+
+
+def test_generator_state_is_one_pinned_sha256_of_the_seed():
+    # The seed of the 3-qubit exchange test's XXY circuit at config seed 0.
+    seed = derive_seed(0, "exchange", 3, "XXY")
+    state = generator_state(seed)
+    assert state == {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 104349953742941461817421140146721016858,
+            "inc": 17678195868074050505938100783191303501,
+        },
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    digest = hashlib.sha256(b"merminsim pcg64\x1f" + str(seed).encode()).digest()
+    assert state["state"]["state"] == int.from_bytes(digest[:16], "little")
+    assert state["state"]["inc"] == int.from_bytes(digest[16:], "little") | 1
+    assert generator_state(np.int64(seed)) == state
+    assert generator_state(2**200)["state"] != generator_state(0)["state"]
+
+
+def test_a_row_depends_only_on_its_weights_and_seed():
+    # One generator serves every row of a call; nothing it buffers or caches
+    # (a spare uint32, the binomial constants of the last row) may leak into
+    # the next row.
+    rng = np.random.default_rng(700)
+    for n in (1, 3, 5):
+        draws = []
+        for seed in (11, 2**62 + n, 0):
+            weights = rng.dirichlet(np.ones(2**n))
+            weights[rng.random(2**n) < 0.3] = 0.0
+            weights[rng.integers(2**n)] += 0.5
+            draws.append((checked_weights(weights / weights.sum()), seed))
+        for shots in (1, 25, 16384):
+            together = draw_counts(draws, shots)
+            assert np.array_equal(together, draw_counts(draws, shots))
+            for k, (weights, seed) in enumerate(draws):
+                alone = draw_counts([(weights, seed)], shots)[0]
+                assert np.array_equal(together[k], alone)
+                moved = draw_counts(draws[k + 1 :] + [(weights, seed)] + draws[:k], shots)
+                assert np.array_equal(moved[len(draws) - 1 - k], alone)
+
+
+def test_a_negative_seed_is_refused():
+    weights = checked_weights(np.full(4, 0.25))
+    for draw in (
+        lambda: draw_counts([(weights, 0), (weights, -1)], 16),
+        lambda: draw_shots(weights, 16, -1),
+        lambda: sample_shots(np.full(4, 0.25), 16, seed=-(2**63)),
+        lambda: generator_state(-1),
+    ):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            draw()
