@@ -12,7 +12,6 @@ from .circuits import (
     setup_config,
 )
 from .harness import (
-    ExchangeReport,
     ExperimentConfig,
     ExperimentReport,
     InvariantError,
@@ -65,7 +64,6 @@ __all__ = [
     "measurement_transform",
     "run",
     "setup_config",
-    "ExchangeReport",
     "ExperimentConfig",
     "ExperimentReport",
     "InvariantError",

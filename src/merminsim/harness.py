@@ -5,7 +5,9 @@ the class estimates into the polynomial value with propagated errors, and
 judges the result against the local-realistic bound.  A report holds what
 its run measured; the per-cell fields it is stored and shown with (polynomial,
 bounds, GHZ phase and the published device rows) come from the checked
-catalog entry.  This module alone writes and reads the stored report format.
+catalog entry.  The exchange test is one such run, the expanded ``mermin``
+run, shown through its single-Y terms.  This module alone writes and reads
+the stored report format.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .sampling import (
     _PARITY_SIGNS,
     check_int,
     check_real,
+    check_shots,
     checked_weights,
     derive_seeds,
     seed_label,
@@ -56,28 +59,6 @@ class InvariantError(RuntimeError):
     """An internal consistency recheck failed while assembling a report."""
 
 
-def _check_qubits(qubits: int) -> int:
-    """One of the catalog's qubit counts, as a plain int."""
-    qubits = check_int("qubits", qubits)
-    if qubits not in QUBIT_COUNTS:
-        raise ValueError(f"qubits must be one of {QUBIT_COUNTS}, got {qubits}")
-    return qubits
-
-
-def _check_shots(shots: int) -> int:
-    """A shot count numpy's multinomial takes (an int64), as a plain int."""
-    shots = check_int("shots", shots, 1)
-    if shots > 2**63 - 1:
-        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
-    return shots
-
-
-def _check_noise(noise: object) -> NoiseModel:
-    if not isinstance(noise, NoiseModel):
-        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
-    return noise
-
-
 def _mapping(d: dict, key: str) -> dict:
     """The section ``d[key]`` of a stored report, which must be a mapping."""
     section = d[key]
@@ -98,10 +79,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "setup", Setup(self.setup))
-        object.__setattr__(self, "qubits", _check_qubits(self.qubits))
-        object.__setattr__(self, "shots", _check_shots(self.shots))
+        qubits = check_int("qubits", self.qubits)
+        if qubits not in QUBIT_COUNTS:
+            raise ValueError(f"qubits must be one of {QUBIT_COUNTS}, got {qubits}")
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "shots", check_shots(self.shots))
         object.__setattr__(self, "seed", check_int("seed", self.seed))
-        _check_noise(self.noise)
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
         if not isinstance(self.expand_permutations, bool):
             raise ValueError(f"expand_permutations must be a bool, got {self.expand_permutations!r}")
         sigmas = check_real("violation_sigmas", self.violation_sigmas, 0.0)
@@ -199,18 +184,6 @@ class ExperimentReport:
             raise ValueError(f"stored report has the wrong shape: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
-    """Independently measured permutations of one symmetry class."""
-
-    qubits: int
-    shots: int
-    seed: int
-    noise: NoiseModel
-    terms: tuple[TermEstimate, ...]
-    spread: float
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _exact_distribution(n: int, phase: float, axes: str, noise: NoiseModel) -> np.ndarray:
     """Multinomial weights of GHZ(n, phase) measured along ``axes``: the exact
@@ -249,25 +222,6 @@ class _PlannedTerm(NamedTuple):
 def _planned(axes: str, coefficient: Fraction, multiplicity: int, *label: object) -> _PlannedTerm:
     weight = float(coefficient) * multiplicity
     return _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight)
-
-
-def _measure_terms(
-    n: int, phase: float, shots: int, noise: NoiseModel, plan: tuple[_PlannedTerm, ...], seed: int
-) -> tuple[TermEstimate, ...]:
-    """Estimate <axes> on GHZ(n, phase) for each planned term: its seed
-    derived from ``seed`` and its label, ``shots`` drawn with it from the
-    memoised weights (``sample_shots`` on the exact distribution without
-    checking it again; only the first call per circuit evolves it, and a
-    warm run looks up all its weights at once), and all rows of the run's
-    count matrix estimated in one pass."""
-    seeds = derive_seeds(seed, [t.label for t in plan])
-    weights = _plan_weights(n, phase, tuple([t.axes for t in plan]), noise)
-    counts = draw_counts(zip(weights, seeds), shots)
-    values, errors = parity_estimates(counts, shots)
-    return tuple(
-        TermEstimate(t.y_count, t.axes, t.coefficient, t.multiplicity, v, e, s)
-        for t, v, e, s in zip(plan, values, errors, seeds)
-    )
 
 
 def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float, float | None]:
@@ -347,7 +301,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     sc, plans, _, _ = _checked_setup(cfg.qubits, cfg.setup)
     plan = plans[cfg.expand_permutations]
-    terms = _measure_terms(cfg.qubits, sc.ghz_phase, cfg.shots, cfg.noise, plan, cfg.seed)
+    # Each planned term's seed derives from the config seed and its label; its
+    # shots are drawn from the memoised weights (``sample_shots`` on the exact
+    # distribution without checking it again), and the run's count matrix is
+    # estimated in one pass.
+    seeds = derive_seeds(cfg.seed, [p.label for p in plan])
+    weights = _plan_weights(cfg.qubits, sc.ghz_phase, tuple([p.axes for p in plan]), cfg.noise)
+    values, errors = parity_estimates(draw_counts(zip(weights, seeds), cfg.shots), cfg.shots)
+    terms = tuple(
+        TermEstimate(p.y_count, p.axes, p.coefficient, p.multiplicity, v, e, s)
+        for p, v, e, s in zip(plan, values, errors, seeds)
+    )
     total = polynomial_estimate_expanded([(p.weight, t) for p, t in zip(plan, terms)])
 
     # Both claims hold only with violation_sigmas standard errors to spare.
@@ -372,44 +336,33 @@ def run_exchange_test(
     seed: int = 0,
     noise: NoiseModel = NoiseModel(),
     qubits: int = 3,
-) -> ExchangeReport:
-    """Measure every single-Y permutation as its own circuit on GHZ(n, pi/2).
+) -> ExperimentReport:
+    """The exchange test: the expanded ``mermin`` run, which measures every
+    single-Y permutation (among all its terms) as its own circuit on
+    GHZ(n, pi/2).  ``render_exchange_report`` shows those permutations.
 
     The standard test uses three qubits; larger n runs the same check on the
     n available permutations.
     """
-    qubits = _check_qubits(qubits)
-    shots = _check_shots(shots)
-    seed = check_int("seed", seed)
-    noise = _check_noise(noise)
-    terms = _measure_terms(qubits, math.pi / 2, shots, noise, _exchange_cell(qubits)[0], seed)
-    return ExchangeReport(
-        qubits=qubits,
-        shots=shots,
-        seed=seed,
-        noise=noise,
-        terms=terms,
-        spread=exchange_spread(terms),
-    )
+    return run_experiment(ExperimentConfig(qubits, Setup.MERMIN, shots, seed, noise, expand_permutations=True))
 
 
-@lru_cache(maxsize=len(QUBIT_COUNTS))
-def _exchange_cell(qubits: int) -> tuple[tuple[_PlannedTerm, ...], dict | None, str]:
-    """The exchange test's term plan (the single-Y permutations, Y rightmost
-    first), the published exchange table (three qubits only, else None) and
-    its stored text."""
-    plan = tuple(
-        _planned(axes, Fraction(1), 1, "exchange", qubits, axes)
-        for axes in ("X" * k + "Y" + "X" * (qubits - 1 - k) for k in reversed(range(qubits)))
-    )
-    table = reference.exchange_results() if qubits == 3 else None
-    return plan, table, _json(table, 1)
+def _exchange_view(report: ExperimentReport) -> tuple[tuple[TermEstimate, ...], float]:
+    """The exchange test's view of an expanded ``mermin`` run: its single-Y
+    terms (Y rightmost first) and their ``exchange_spread``."""
+    cfg = report.config
+    if cfg.setup is not Setup.MERMIN or not cfg.expand_permutations:
+        mode = "expanded" if cfg.expand_permutations else "class-mode"
+        raise ValueError(f"an exchange report shows an expanded mermin run, not a {mode} {cfg.setup.value} run")
+    terms = tuple(t for t in report.terms if t.y_count == 1)
+    return terms, exchange_spread(terms)
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
 # allow_nan=False) would write for it.  The writers below spell out the
 # per-run fields as templates whose keys are already sorted; the per-cell
-# text comes from the catalog memo, dumped once per cell.
+# text comes from the catalog memo, dumped once per cell, and the published
+# exchange table (three qubits only) is dumped once, below.
 
 
 def _dumps(value: object) -> str:
@@ -490,31 +443,40 @@ def _experiment_json(report: ExperimentReport) -> str:
 """
 
 
-def _exchange_json(report: ExchangeReport) -> str:
+def _exchange_table(qubits: int) -> dict | None:
+    """The published exchange rows, which exist at three qubits only."""
+    return reference.exchange_results() if qubits == 3 else None
+
+
+_EXCHANGE_TABLE_TEXT = {n: _json(_exchange_table(n), 1) for n in QUBIT_COUNTS}
+
+
+def _exchange_json(report: ExperimentReport) -> str:
     """The stored exchange report, from the same leaves and sections."""
-    noise, j = report.noise, _json
+    terms, spread = _exchange_view(report)
+    cfg, noise, j = report.config, report.config.noise, _json
     return f"""{{
   "noise": {{
     "p1": {j(noise.p1, 2)},
     "p2": {j(noise.p2, 2)},
     "readout_flip": {j(noise.readout_flip, 2)}
   }},
-  "published_reference": {_exchange_cell(report.qubits)[2]},
-  "qubits": {j(report.qubits, 1)},
+  "published_reference": {_EXCHANGE_TABLE_TEXT[cfg.qubits]},
+  "qubits": {j(cfg.qubits, 1)},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "seed": {j(report.seed, 1)},
-  "shots": {j(report.shots, 1)},
-  "spread": {j(report.spread, 1)},
-  "terms": {_terms_json(report.terms)}
+  "seed": {j(cfg.seed, 1)},
+  "shots": {j(cfg.shots, 1)},
+  "spread": {j(spread, 1)},
+  "terms": {_terms_json(terms)}
 }}
 """
 
 
 def _render(
-    report: ExperimentReport | ExchangeReport,
+    report: ExperimentReport,
     fmt: str,
-    json_writer: Callable[[ExperimentReport | ExchangeReport], str],
-    builders: dict[str, Callable],
+    json_writer: Callable[[ExperimentReport], str],
+    builders: dict[str, Callable[[ExperimentReport], list[str]]],
 ) -> str:
     """The one format dispatch: 'json' is the stored report (full precision,
     round-trips); 'csv' and 'md' join the lines of their builder."""
@@ -529,8 +491,9 @@ def _fmt_pm(value: float, error: float) -> str:
     return f"{value:.3f} +/- {round_error(error)}"
 
 
-def _md_params(shots: int, seed: int, noise: NoiseModel) -> str:
-    return f"shots {shots}, seed {seed}, noise p1={noise.p1} p2={noise.p2} readout={noise.readout_flip}"
+def _md_params(cfg: ExperimentConfig) -> str:
+    noise = cfg.noise
+    return f"shots {cfg.shots}, seed {cfg.seed}, noise p1={noise.p1} p2={noise.p2} readout={noise.readout_flip}"
 
 
 def _md_table(
@@ -572,7 +535,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
     out = [
         f"# Mermin test: {cfg.qubits} qubits, setup {cfg.setup.value}",
         "",
-        _md_params(cfg.shots, cfg.seed, cfg.noise) + f", expanded={cfg.expand_permutations}",
+        _md_params(cfg) + f", expanded={cfg.expand_permutations}",
         "",
         *_md_table(
             report.terms,
@@ -595,25 +558,28 @@ def _md_lines(report: ExperimentReport) -> list[str]:
     return out
 
 
-def _exchange_csv_lines(report: ExchangeReport) -> list[str]:
+def _exchange_csv_lines(report: ExperimentReport) -> list[str]:
+    terms, spread = _exchange_view(report)
     lines = ["row,axes,value,error,error_rounded"]
-    for t in report.terms:
+    for t in terms:
         lines.append(f"term,{t.axes},{t.value!r},{t.error!r},{round_error(t.error)!r}")
-    lines.append(f"spread,,{report.spread!r},,")
+    lines.append(f"spread,,{spread!r},,")
     return lines
 
 
-def _exchange_md_lines(report: ExchangeReport) -> list[str]:
+def _exchange_md_lines(report: ExperimentReport) -> list[str]:
+    terms, spread = _exchange_view(report)
+    cfg = report.config
     return [
-        f"# Exchange test: {report.qubits} qubits",
+        f"# Exchange test: {cfg.qubits} qubits",
         "",
-        _md_params(report.shots, report.seed, report.noise),
+        _md_params(cfg),
         "",
         *_md_table(
-            report.terms,
+            terms,
             "spread",
-            f"{report.spread:.4f}",
-            _exchange_cell(report.qubits)[1],
+            f"{spread:.4f}",
+            _exchange_table(cfg.qubits),
             lambda row: f"{row['spread']:.3f}",
         ),
     ]
@@ -624,7 +590,10 @@ def render_report(report: ExperimentReport, fmt: str = "json") -> str:
     return _render(report, fmt, _experiment_json, {"csv": _csv_lines, "md": _md_lines})
 
 
-def render_exchange_report(report: ExchangeReport, fmt: str = "json") -> str:
+def render_exchange_report(report: ExperimentReport, fmt: str = "json") -> str:
+    """Render the exchange view of an expanded ``mermin`` run (its single-Y
+    terms and their spread) to 'json', 'csv', or 'md'; any other run raises
+    ``ValueError``."""
     return _render(report, fmt, _exchange_json, {"csv": _exchange_csv_lines, "md": _exchange_md_lines})
 
 

@@ -65,6 +65,15 @@ def check_real(name: str, value: object, minimum: float, maximum: float = math.i
     return float(value)
 
 
+def check_shots(shots: object) -> int:
+    """A shot count numpy's multinomial takes, an integer in [1, 2**63 - 1],
+    as a plain int."""
+    shots = check_int("shots", shots, 1)
+    if shots > 2**63 - 1:
+        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
+    return shots
+
+
 @dataclass(frozen=True)
 class ShotCounts:
     """Outcome histogram of one measured circuit: ``vector[i]`` shots gave
@@ -146,9 +155,9 @@ def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarr
     multinomial histogram of ``shots`` draws from ``checked_weights`` output,
     drawn by one numpy ``Generator`` whose ``PCG64`` is set to
     ``generator_state(seed)`` first, so a row depends only on its weights
-    and seed, and identical seeds give identical rows."""
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
+    and seed, and identical seeds give identical rows.  ``shots`` must pass
+    ``check_shots``."""
+    shots = check_shots(shots)
     bit_generator = np.random.PCG64(_construction_seed())
     generator = np.random.Generator(bit_generator)
     rows = []
@@ -254,8 +263,9 @@ def seed_label(*parts: object) -> bytes:
 def derive_seeds(base_seed: int, labels: Iterable[bytes]) -> list[int]:
     """One sub-seed per ``seed_label`` label: the first 8 bytes (little
     endian, shifted right by one) of sha256 over ``str(base_seed)`` and the
-    label.  The base seed is hashed once for all labels."""
-    base = hashlib.sha256(str(int(base_seed)).encode())
+    label.  The base seed, any integer (``check_int``), is hashed once for
+    all labels."""
+    base = hashlib.sha256(str(check_int("seed", base_seed)).encode())
     seeds = []
     for label in labels:
         h = base.copy()

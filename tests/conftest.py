@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from merminsim import Circuit, Gate, NoiseModel, ShotCounts
-from merminsim import harness
 from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 
 
@@ -28,7 +27,6 @@ def cold_memo():
     _checked_setup.cache_clear()
     _exact_distribution.cache_clear()
     _plan_weights.cache_clear()
-    harness._exchange_cell.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,12 +1,14 @@
-"""Golden reports: four stored CLI outputs and two digests that pin the
+"""Golden reports: four stored CLI outputs and three digests that pin the
 report bytes.
 
 Each file under ``tests/data`` is the stdout of the command beside it.  A
 fresh run must print exactly those bytes, and a stored experiment report,
 loaded with ``ExperimentReport.from_dict`` and rendered again, must give them
 back.  The digests cover every cell in every format at four noise levels,
-and the audit commands' output, so a change of summation order anywhere in
-estimation or combination shows on every Python version the tests run on.
+the exchange reports apart from the experiment reports (so a byte move
+shows which of the two it touched), and the audit commands' output, so a
+change of summation order anywhere in estimation or combination shows on
+every Python version the tests run on.
 The files and digests were made with numpy 2.4.6.  The sampled values depend
 on numpy's PCG64 bit generator and on its ``Generator.multinomial`` (each row
 drawn from a state set by ``sampling.generator_state``), so a numpy release
@@ -101,13 +103,15 @@ def test_a_golden_term_is_drawn_from_its_stored_seed_by_the_documented_recipe():
     assert estimate == (term["value"], term["error"])
 
 
-def _sweep_texts():
-    """The 720 reports of the digest, in its order: for each p in 0, .01, .02
-    and .03 (p1 = p2 = readout = p), ``run_experiment`` over 3/4/5 qubits x
-    mermin/al/al-mod x class/expanded x seeds 0/7/12345 x json/csv/md, then
-    ``run_exchange_test`` over 3/4/5 qubits x seeds 0/3 x the three formats."""
-    for p in (0.0, 0.01, 0.02, 0.03):
-        noise = NoiseModel(p, p, p)
+NOISES = [NoiseModel(p, p, p) for p in (0.0, 0.01, 0.02, 0.03)]
+
+
+def _experiment_texts():
+    """The 648 reports of the experiment digest, in its order: for each p in
+    0, .01, .02 and .03 (p1 = p2 = readout = p), ``run_experiment`` over
+    3/4/5 qubits x mermin/al/al-mod x class/expanded x seeds 0/7/12345 x
+    json/csv/md."""
+    for noise in NOISES:
         for qubits in (3, 4, 5):
             for setup in ("mermin", "al", "al-mod"):
                 for expand in (False, True):
@@ -118,6 +122,12 @@ def _sweep_texts():
                         report = run_experiment(cfg)
                         for fmt in ("json", "csv", "md"):
                             yield render_report(report, fmt)
+
+
+def _exchange_texts():
+    """The 72 reports of the exchange digest, in its order: for each p as
+    above, ``run_exchange_test`` over 3/4/5 qubits x seeds 0/3 x json/csv/md."""
+    for noise in NOISES:
         for qubits in (3, 4, 5):
             for seed in (0, 3):
                 report = run_exchange_test(seed=seed, noise=noise, qubits=qubits)
@@ -125,14 +135,27 @@ def _sweep_texts():
                     yield render_exchange_report(report, fmt)
 
 
-def test_sweep_reports_digest():
+def _digest(texts) -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
-    for text in _sweep_texts():
+    for text in texts:
         digest.update(text.encode())
         count += 1
-    assert count == 720
-    assert digest.hexdigest() == "36f79678f21cb2d97032ce376c25a94af812ab7c8c955cae6669ecd793d1674d"
+    return count, digest.hexdigest()
+
+
+def test_sweep_reports_digest():
+    assert _digest(_experiment_texts()) == (
+        648,
+        "6714e45485cb6f6ab46879e0f1caf3ef5309e2c9a48be1bb4bdc96db9a940e0d",
+    )
+
+
+def test_sweep_exchange_reports_digest():
+    assert _digest(_exchange_texts()) == (
+        72,
+        "c0a389942d8a20dd5ba73bef45a53914e73cd2917bb95d4a9fd7b6afcf607477",
+    )
 
 
 def test_bounds_and_verify_stdout_digest():

@@ -16,13 +16,14 @@ from merminsim import (
     NoiseModel,
     Setup,
     all_setup_configs,
+    exchange_spread,
     render_exchange_report,
     render_report,
     run_exchange_test,
     run_experiment,
     verify_invariants,
 )
-from merminsim.harness import _checked_setup, _exact_distribution
+from merminsim.harness import RENDER_FORMATS, _checked_setup, _exact_distribution
 
 
 @pytest.mark.parametrize("config", all_setup_configs(), ids=lambda c: f"{c.n}q-{c.setup.value}")
@@ -82,7 +83,7 @@ def test_config_rejects_non_integral_or_bool_shots(shots):
 def test_shots_fit_numpys_int64():
     # numpy's multinomial takes an int64 count; 2**63 used to escape as OverflowError.
     assert ExperimentConfig(qubits=3, setup="mermin", shots=2**63 - 1).shots == 2**63 - 1
-    assert run_exchange_test(shots=2**63 - 1).shots == 2**63 - 1
+    assert run_exchange_test(shots=2**63 - 1).config.shots == 2**63 - 1
     with pytest.raises(ValueError, match="shots"):
         ExperimentConfig(qubits=3, setup="mermin", shots=2**63)
     with pytest.raises(ValueError, match="shots"):
@@ -133,7 +134,7 @@ def test_config_accepts_negative_and_numpy_integer_seeds():
     cfg = ExperimentConfig(qubits=np.int64(3), setup="mermin", seed=np.int64(-5))
     assert type(cfg.qubits) is int and type(cfg.seed) is int
     assert run_experiment(cfg).to_dict()["config"]["seed"] == -5
-    assert run_exchange_test(seed=np.int32(-5)).seed == -5
+    assert run_exchange_test(seed=np.int32(-5)).config.seed == -5
 
 
 def test_report_from_dict_rejects_fractional_seed():
@@ -442,17 +443,19 @@ def test_render_rejects_unknown_format():
 
 def test_exchange_test_noiseless_terms_are_exact():
     report = run_exchange_test(seed=3)
-    assert [t.axes for t in report.terms] == ["XXY", "XYX", "YXX"]
-    for t in report.terms:
-        assert t.value == 1.0
-    assert report.spread == 0.0
+    stored = json.loads(render_exchange_report(report, "json"))
+    assert [t["axes"] for t in stored["terms"]] == ["XXY", "XYX", "YXX"]
+    for t in stored["terms"]:
+        assert t["value"] == 1.0
+    assert stored["spread"] == 0.0
     assert "| Essex (published) |" in render_exchange_report(report, "md")
 
 
 def test_exchange_test_other_sizes():
     report = run_exchange_test(seed=3, qubits=4)
-    assert [t.axes for t in report.terms] == ["XXXY", "XXYX", "XYXX", "YXXX"]
-    assert json.loads(render_exchange_report(report, "json"))["published_reference"] is None
+    stored = json.loads(render_exchange_report(report, "json"))
+    assert [t["axes"] for t in stored["terms"]] == ["XXXY", "XXYX", "XYXX", "YXXX"]
+    assert stored["published_reference"] is None
     assert "(published)" not in render_exchange_report(report, "md")
     with pytest.raises(ValueError):
         run_exchange_test(qubits=6)
@@ -467,6 +470,33 @@ def test_exchange_render_formats():
     as_md = render_exchange_report(report, "md")
     assert "| Vigo (published) |" in as_md
     assert render_exchange_report(report, "json") == as_json  # deterministic
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.02, 0.02, 0.02)], ids=["clean", "p0.02"])
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_exchange_test_is_the_single_y_view_of_the_expanded_mermin_run(qubits, noise):
+    cfg = ExperimentConfig(qubits, "mermin", shots=4096, seed=11, noise=noise, expand_permutations=True)
+    expanded = run_experiment(cfg)
+    report = run_exchange_test(shots=4096, seed=11, noise=noise, qubits=qubits)
+    assert report == expanded
+    single_y = [t for t in expanded.to_dict()["terms"] if t["y_count"] == 1]
+    assert len(single_y) == qubits
+    stored = json.loads(render_exchange_report(report, "json"))
+    assert stored["terms"] == single_y
+    assert stored["spread"] == exchange_spread([t for t in expanded.terms if t.y_count == 1])
+    assert (stored["qubits"], stored["shots"], stored["seed"]) == (qubits, 4096, 11)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ExperimentConfig(3, "mermin"), ExperimentConfig(3, "al", expand_permutations=True)],
+    ids=["class-mode-mermin", "expanded-al"],
+)
+def test_exchange_render_refuses_a_run_that_is_not_an_expanded_mermin_run(cfg):
+    report = run_experiment(cfg)
+    for fmt in RENDER_FORMATS:
+        with pytest.raises(ValueError, match="expanded mermin run"):
+            render_exchange_report(report, fmt)
 
 
 def test_verify_invariants_all_pass():

@@ -66,6 +66,18 @@ def test_sample_shots_rejects_bad_distributions():
         sample_shots(np.full(4, 0.25), 0, seed=0)
 
 
+@pytest.mark.parametrize("shots", [1.5, True, 2**63, 0, "16"], ids=["float", "bool", "2**63", "zero", "str"])
+def test_sample_shots_rejects_a_shot_count_outside_int64(shots):
+    # 1.5 and True used to draw one shot, and 2**63 escaped as numpy's OverflowError.
+    with pytest.raises(ValueError, match="shots"):
+        sample_shots(np.full(4, 0.25), shots, seed=0)
+
+
+def test_sample_shots_takes_numpy_integer_shots_up_to_int64():
+    assert sample_shots(np.full(4, 0.25), np.int64(16), seed=0).total == 16
+    assert sample_shots(np.array([1.0, 0.0]), 2**63 - 1, seed=0).vector == (2**63 - 1, 0)
+
+
 @pytest.mark.parametrize(
     "probs",
     [[math.nan] * 8, [math.inf, -math.inf] + [0.0] * 6, [math.inf] + [0.0] * 7],
@@ -89,7 +101,7 @@ def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
     assert weights[1] == 0.0 and np.array_equal(weights, np.clip(probs, 0.0, None) / probs.sum())
     for seed in (0, 1, 2**62):
         assert draw_shots(weights, 4096, seed) == sample_shots(probs, 4096, seed)
-    with pytest.raises(ValueError, match="at least one shot"):
+    with pytest.raises(ValueError, match="shots must be >= 1"):
         draw_shots(weights, 0, seed=0)
     rows = draw_counts([(weights, 0), (weights, 1), (weights, 0)], 4096)
     assert rows.dtype == np.int64 and rows.shape == (3, 4)
@@ -285,8 +297,17 @@ def test_derive_seed_is_stable_and_context_sensitive():
     ) >> 1
 
 
+@pytest.mark.parametrize("base", [1.7, 1.0, True, "1", None], ids=["float", "integral-float", "bool", "str", "none"])
+def test_derive_seed_refuses_a_base_seed_that_is_not_an_integer(base):
+    # 1.7 and True used to derive the seeds of base seed 1.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        derive_seed(base, "a")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        derive_seeds(base, [seed_label("a")])
+
+
 def test_generator_state_is_one_pinned_sha256_of_the_seed():
-    # The seed of the 3-qubit exchange test's XXY circuit at config seed 0.
+    # The seed derived from config seed 0 and the labels ("exchange", 3, "XXY").
     seed = derive_seed(0, "exchange", 3, "XXY")
     state = generator_state(seed)
     assert state == {
