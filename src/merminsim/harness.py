@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class ExperimentReport:
                 expand_permutations=cfg["expand_permutations"],
                 violation_sigmas=cfg["violation_sigmas"],
             )
-            plan = _checked_setup(config.qubits, config.setup)[1][config.expand_permutations]
+            plan = _checked_setup(config.qubits, config.setup).plans[config.expand_permutations]
             stored = d["terms"]
             if len(stored) != len(plan):
                 raise ValueError(
@@ -207,9 +207,11 @@ def _plan_weights(
 
 class _PlannedTerm(NamedTuple):
     """One circuit a run measures: what its report term states, the label
-    its seed is derived with from the config seed (``seed_label``), and its
+    its seed is derived with from the config seed (``seed_label``), its
     weight in the polynomial, coefficient * multiplicity (a class estimate
-    serves all its copies)."""
+    serves all its copies), and the term's render frames (``_json_frame``,
+    ``_csv_head``), which hold everything a rendered term states but its
+    measurement and seed."""
 
     axes: str
     coefficient: Fraction
@@ -217,11 +219,14 @@ class _PlannedTerm(NamedTuple):
     y_count: int
     label: bytes
     weight: float
+    json_frame: tuple[str, str, str, str, str]
+    csv_head: str
 
 
 def _planned(axes: str, coefficient: Fraction, multiplicity: int, *label: object) -> _PlannedTerm:
     weight = float(coefficient) * multiplicity
-    return _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight)
+    term = _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight, None, "")
+    return term._replace(json_frame=_json_frame(term), csv_head=_csv_head(term))
 
 
 def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float, float | None]:
@@ -250,16 +255,30 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
     return rows, brute, lam
 
 
+class _Cell(NamedTuple):
+    """A checked catalog entry and what every report of its cell shares.
+    ``plans``, ``md_heads`` and ``md_published`` are indexed by
+    ``expand_permutations`` (one circuit per symmetry class, or every term)."""
+
+    config: SetupConfig
+    plans: tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]]
+    # The published device table.
+    table: dict
+    # The stored text of a report's five per-cell fields (the lines between
+    # ``genuine_fourparty`` and ``result``).
+    text: str
+    # The markdown table's header and separator lines.
+    md_heads: tuple[tuple[str, str], tuple[str, str]]
+    # The markdown table's published rows: class mode only, and only when the
+    # table's columns are the plan's.
+    md_published: tuple[tuple[str, ...], tuple[str, ...]]
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _checked_setup(
-    n: int, setup: Setup
-) -> tuple[SetupConfig, tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]], dict, str]:
-    """The catalog entry, the term plan of each mode (indexed by
-    ``expand_permutations``: one circuit per symmetry class, or every term),
-    its published table and the stored text of a report's five per-cell
-    fields (the lines between ``genuine_fourparty`` and ``result``).  Bounds
-    are rechecked when the entry is built; a failed recheck raises and is not
-    memoised."""
+def _checked_setup(n: int, setup: Setup) -> _Cell:
+    """The catalog entry of a cell with its term plans and render frames.
+    Bounds are rechecked when the entry is built; a failed recheck raises and
+    is not memoised."""
     sc = setup_config(n, setup)
     for name, ok, detail in recheck_bounds(sc)[0]:
         if not ok:
@@ -286,7 +305,15 @@ def _checked_setup(
         for cl in collapse(poly)
     )
     every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
-    return sc, (by_class, every_term), table, _dumps(cell)[2:-2]
+    plans = (by_class, every_term)
+    return _Cell(
+        sc,
+        plans,
+        table,
+        _dumps(cell)[2:-2],
+        tuple(_md_head(plan, "result") for plan in plans),
+        (_experiment_published(table, by_class), ()),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -299,8 +326,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Every circuit owns a seed derived from (config seed, setup, class), so
     the report is byte-identical for a cold or warm memo.
     """
-    sc, plans, _, _ = _checked_setup(cfg.qubits, cfg.setup)
-    plan = plans[cfg.expand_permutations]
+    cell = _checked_setup(cfg.qubits, cfg.setup)
+    sc, plan = cell.config, cell.plans[cfg.expand_permutations]
     # Each planned term's seed derives from the config seed and its label; its
     # shots are drawn from the memoised weights (``sample_shots`` on the exact
     # distribution without checking it again), and the run's count matrix is
@@ -360,9 +387,11 @@ def _exchange_view(report: ExperimentReport) -> tuple[tuple[TermEstimate, ...], 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
 # allow_nan=False) would write for it.  The writers below spell out the
-# per-run fields as templates whose keys are already sorted; the per-cell
-# text comes from the catalog memo, dumped once per cell, and the published
-# exchange table (three qubits only) is dumped once, below.
+# per-run fields as templates whose keys are already sorted.  What a report
+# shares with its cell is written once per cell, into the catalog entry: the
+# per-cell text, each planned term's frames and the markdown table head and
+# published rows.  The published exchange table (three qubits only) is dumped
+# once, below.
 
 
 def _dumps(value: object) -> str:
@@ -389,32 +418,109 @@ def _json(value: object, depth: int) -> str:
     return _dumps(value).replace("\n", "\n" + "  " * depth)
 
 
-def _terms_json(terms: tuple[TermEstimate, ...]) -> str:
+# A term's render frames hold what it states but its measurement and seed.
+# Each builder below is the one template of its layout: a catalog entry calls
+# it once per planned term, and a render calls it only for the terms of a
+# report that are not its plan's (``_plan_of``).
+
+
+def _json_frame(term: TermEstimate | _PlannedTerm) -> tuple[str, str, str, str, str]:
+    """A stored term's text around its ``error``, ``error_rounded``,
+    ``seed`` and ``value``."""
+    j = _json
+    return (
+        f"""    {{
+      "axes": {j(term.axes, 3)},
+      "coefficient": [
+        {j(term.coefficient.numerator, 4)},
+        {j(term.coefficient.denominator, 4)}
+      ],
+      "error": """,
+        """,
+      "error_rounded": """,
+        f""",
+      "multiplicity": {j(term.multiplicity, 3)},
+      "seed": """,
+        """,
+      "value": """,
+        f""",
+      "y_count": {j(term.y_count, 3)}
+    }}""",
+    )
+
+
+def _csv_head(term: TermEstimate | _PlannedTerm) -> str:
+    """A CSV term row up to its value."""
+    return f"term,{term.y_count},{term.axes},{term.coefficient},{term.multiplicity},"
+
+
+def _md_head(terms: Sequence[TermEstimate | _PlannedTerm], last: str) -> tuple[str, str]:
+    """A markdown table's column header and separator: one column per term
+    plus a ``last`` column."""
+    return (
+        "| source | " + " | ".join(f"<{t.axes}>" for t in terms) + f" | {last} |",
+        "|" + "---|" * (len(terms) + 2),
+    )
+
+
+def _md_published(ref: dict | None, last: Callable[[dict], str]) -> tuple[str, ...]:
+    """A markdown table's published rows: one per machine of ``ref``, whose
+    last cell is ``last(row)``; none for no table."""
+    if ref is None:
+        return ()
+    return tuple(
+        f"| {machine} (published) | "
+        + " | ".join(f"{v:.3f} +/- {ref['term_error']}" for v in row["terms"])
+        + f" | {last(row)} |"
+        for machine, row in ref["rows"].items()
+    )
+
+
+def _experiment_published(ref: dict, terms: Sequence[TermEstimate | _PlannedTerm]) -> tuple[str, ...]:
+    """The published rows of a class-mode table, when its columns are the
+    published ones."""
+    if ref["columns"] != [t.axes for t in terms]:
+        return ()
+    return _md_published(ref, lambda row: f"{row['result']:.2f} +/- {ref['result_error']}")
+
+
+def _plan_of(report: ExperimentReport) -> tuple[_PlannedTerm, ...] | None:
+    """The plan of the report's run when its terms state the plan entries'
+    own objects (``is``: every report ``run_experiment`` and ``from_dict``
+    build), so the entries' frames render them; else None, and the terms'
+    frames are built at render time."""
+    cfg = report.config
+    plan = _checked_setup(cfg.qubits, cfg.setup).plans[cfg.expand_permutations]
+    if len(report.terms) != len(plan):
+        return None
+    for t, p in zip(report.terms, plan):
+        if (
+            t.axes is not p.axes
+            or t.coefficient is not p.coefficient
+            or t.multiplicity is not p.multiplicity
+            or t.y_count is not p.y_count
+        ):
+            return None
+    return plan
+
+
+def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm] | None) -> str:
+    """The stored ``terms`` list; ``plan`` holds the terms' frames, or is
+    None to build them."""
     if not terms:
         return "[]"
+    frames = map(_json_frame, terms) if plan is None else (p.json_frame for p in plan)
     j = _json
     return "[\n" + ",\n".join(
-        f"""    {{
-      "axes": {j(t.axes, 3)},
-      "coefficient": [
-        {j(t.coefficient.numerator, 4)},
-        {j(t.coefficient.denominator, 4)}
-      ],
-      "error": {j(t.error, 3)},
-      "error_rounded": {j(round_error(t.error), 3)},
-      "multiplicity": {j(t.multiplicity, 3)},
-      "seed": {j(t.seed, 3)},
-      "value": {j(t.value, 3)},
-      "y_count": {j(t.y_count, 3)}
-    }}"""
-        for t in terms
+        f"{a}{j(t.error, 3)}{b}{j(round_error(t.error), 3)}{c}{j(t.seed, 3)}{d}{j(t.value, 3)}{e}"
+        for t, (a, b, c, d, e) in zip(terms, frames)
     ) + "\n  ]"
 
 
 def _experiment_json(report: ExperimentReport) -> str:
     """The stored experiment report: the one writer of its layout."""
     cfg, noise, j = report.config, report.config.noise, _json
-    cell_text = _checked_setup(cfg.qubits, cfg.setup)[3]
+    cell_text = _checked_setup(cfg.qubits, cfg.setup).text
     return f"""{{
   "config": {{
     "expand_permutations": {j(cfg.expand_permutations, 2)},
@@ -437,7 +543,7 @@ def _experiment_json(report: ExperimentReport) -> str:
     "value": {j(report.value, 2)}
   }},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "terms": {_terms_json(report.terms)},
+  "terms": {_terms_json(report.terms, _plan_of(report))},
   "verdict": {j(report.verdict, 1)}
 }}
 """
@@ -454,6 +560,9 @@ _EXCHANGE_TABLE_TEXT = {n: _json(_exchange_table(n), 1) for n in QUBIT_COUNTS}
 def _exchange_json(report: ExperimentReport) -> str:
     """The stored exchange report, from the same leaves and sections."""
     terms, spread = _exchange_view(report)
+    plan = _plan_of(report)
+    if plan is not None:
+        plan = [p for p in plan if p.y_count == 1]
     cfg, noise, j = report.config, report.config.noise, _json
     return f"""{{
   "noise": {{
@@ -467,7 +576,7 @@ def _exchange_json(report: ExperimentReport) -> str:
   "seed": {j(cfg.seed, 1)},
   "shots": {j(cfg.shots, 1)},
   "spread": {j(spread, 1)},
-  "terms": {_terms_json(terms)}
+  "terms": {_terms_json(terms, plan)}
 }}
 """
 
@@ -496,30 +605,17 @@ def _md_params(cfg: ExperimentConfig) -> str:
     return f"shots {cfg.shots}, seed {cfg.seed}, noise p1={noise.p1} p2={noise.p2} readout={noise.readout_flip}"
 
 
-def _md_table(
-    terms: tuple[TermEstimate, ...], last: str, sim_last: str, ref: dict | None, ref_last: Callable
-) -> list[str]:
-    """One column per term plus a ``last`` column: the simulated row, then a
-    row per published machine whose last cell is ``ref_last(row)``."""
-    out = [
-        "| source | " + " | ".join(f"<{t.axes}>" for t in terms) + f" | {last} |",
-        "|" + "---|" * (len(terms) + 2),
-        "| simulated | " + " | ".join(_fmt_pm(t.value, t.error) for t in terms) + f" | {sim_last} |",
-    ]
-    if ref is not None:
-        for machine, row in ref["rows"].items():
-            cells = [f"{v:.3f} +/- {ref['term_error']}" for v in row["terms"]]
-            out.append(f"| {machine} (published) | " + " | ".join(cells) + f" | {ref_last(row)} |")
-    return out
+def _md_simulated(terms: Sequence[TermEstimate], last: str) -> str:
+    """A markdown table's simulated row: each term's value and error, then ``last``."""
+    return "| simulated | " + " | ".join(_fmt_pm(t.value, t.error) for t in terms) + f" | {last} |"
 
 
 def _csv_lines(report: ExperimentReport) -> list[str]:
+    plan = _plan_of(report)
+    heads = map(_csv_head, report.terms) if plan is None else (p.csv_head for p in plan)
     lines = ["row,y_count,axes,coefficient,multiplicity,value,error,error_rounded"]
-    for t in report.terms:
-        lines.append(
-            f"term,{t.y_count},{t.axes},{t.coefficient},{t.multiplicity},"
-            f"{t.value!r},{t.error!r},{round_error(t.error)!r}"
-        )
+    for head, t in zip(heads, report.terms):
+        lines.append(f"{head}{t.value!r},{t.error!r},{round_error(t.error)!r}")
     lines.append(
         f"result,,,,,{report.value!r},{report.error!r},{round_error(report.error)!r}"
     )
@@ -528,24 +624,23 @@ def _csv_lines(report: ExperimentReport) -> list[str]:
 
 def _md_lines(report: ExperimentReport) -> list[str]:
     cfg = report.config
-    sc, _, ref, _ = _checked_setup(cfg.qubits, cfg.setup)
-    # Expanded runs have per-permutation columns the published table lacks.
-    if cfg.expand_permutations or ref["columns"] != [t.axes for t in report.terms]:
-        ref = None
+    cell = _checked_setup(cfg.qubits, cfg.setup)
+    if _plan_of(report) is not None:
+        head, published = cell.md_heads[cfg.expand_permutations], cell.md_published[cfg.expand_permutations]
+    else:
+        # Expanded runs have per-permutation columns the published table lacks.
+        head = _md_head(report.terms, "result")
+        published = () if cfg.expand_permutations else _experiment_published(cell.table, report.terms)
     out = [
         f"# Mermin test: {cfg.qubits} qubits, setup {cfg.setup.value}",
         "",
         _md_params(cfg) + f", expanded={cfg.expand_permutations}",
         "",
-        *_md_table(
-            report.terms,
-            "result",
-            _fmt_pm(report.value, report.error),
-            ref,
-            lambda row: f"{row['result']:.2f} +/- {ref['result_error']}",
-        ),
+        *head,
+        _md_simulated(report.terms, _fmt_pm(report.value, report.error)),
+        *published,
         "",
-        f"LR bound {sc.lr_bound}, QM value {sc.qm_value:.6f}, "
+        f"LR bound {cell.config.lr_bound}, QM value {cell.config.qm_value:.6f}, "
         f"verdict **{report.verdict}** "
         f"(value - {cfg.violation_sigmas} * error vs LR bound)",
     ]
@@ -575,13 +670,9 @@ def _exchange_md_lines(report: ExperimentReport) -> list[str]:
         "",
         _md_params(cfg),
         "",
-        *_md_table(
-            terms,
-            "spread",
-            f"{spread:.4f}",
-            _exchange_table(cfg.qubits),
-            lambda row: f"{row['spread']:.3f}",
-        ),
+        *_md_head(terms, "spread"),
+        _md_simulated(terms, f"{spread:.4f}"),
+        *_md_published(_exchange_table(cfg.qubits), lambda row: f"{row['spread']:.3f}"),
     ]
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,13 +128,10 @@ def checked_weights(probs: np.ndarray) -> np.ndarray:
 _STATE_DOMAIN = b"merminsim pcg64\x1f"
 
 
-@cache
-def _construction_seed() -> np.random.SeedSequence:
-    """Seeds the one bit generator of a ``draw_counts`` call, whose state is
-    set before every row anyway.  Built on the first draw, so a process that
-    draws nothing never imports ``numpy.random``; reusing it spares building
-    a sequence (and gathering OS entropy) per call."""
-    return np.random.SeedSequence(0)
+# This thread's ``(PCG64, Generator)`` pair, as ``_draw.pair``.  Every row sets
+# the bit generator's whole state before it draws, so the pair carries nothing
+# from one row to the next and one pair serves every call on its thread.
+_draw = threading.local()
 
 
 def generator_state(seed: int) -> dict:
@@ -153,13 +150,21 @@ def generator_state(seed: int) -> dict:
 def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarray:
     """The int64 count matrix of ``(weights, seed)`` draws: row k is one
     multinomial histogram of ``shots`` draws from ``checked_weights`` output,
-    drawn by one numpy ``Generator`` whose ``PCG64`` is set to
+    drawn by this thread's numpy ``Generator``, whose ``PCG64`` is set to
     ``generator_state(seed)`` first, so a row depends only on its weights
     and seed, and identical seeds give identical rows.  ``shots`` must pass
-    ``check_shots``."""
+    ``check_shots``.
+
+    Each thread builds its generator on its first draw, so a process that
+    draws nothing never imports ``numpy.random``, and no call builds one
+    after that."""
     shots = check_shots(shots)
-    bit_generator = np.random.PCG64(_construction_seed())
-    generator = np.random.Generator(bit_generator)
+    try:
+        bit_generator, generator = _draw.pair
+    except AttributeError:
+        bit_generator = np.random.PCG64(np.random.SeedSequence(0))
+        generator = np.random.Generator(bit_generator)
+        _draw.pair = bit_generator, generator
     rows = []
     for weights, seed in draws:
         bit_generator.state = generator_state(seed)
@@ -241,7 +246,9 @@ def exchange_spread(estimates: Sequence[Estimate]) -> float:
 
 def round_error(error: float) -> float:
     """Round an uncertainty to its first significant decimal digit (ties up):
-    0.0221 -> 0.02, 0.0076 -> 0.008, 0.098 -> 0.1."""
+    0.0221 -> 0.02, 0.0076 -> 0.008, 0.098 -> 0.1.  The result is the float
+    nearest that one-digit decimal, so its repr has one significant digit
+    (0.3, never 0.30000000000000004)."""
     if error < 0:
         raise ValueError(f"error must be >= 0, got {error}")
     if error == 0.0:
@@ -251,7 +258,11 @@ def round_error(error: float) -> float:
     if leading >= 10:
         leading = 1
         exponent += 1
-    return leading * (10.0**exponent)
+    # One correctly rounded operation on exact operands: 3 * 10.0**-1 would
+    # round twice and give 0.30000000000000004.
+    if exponent >= 0:
+        return leading * 10.0**exponent
+    return leading / 10.0**-exponent
 
 
 def seed_label(*parts: object) -> bytes:

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import merminsim
 from merminsim import ExperimentConfig, InvariantError, cli, harness, run_experiment
 from merminsim.circuits import QUBIT_COUNTS, SETUP_IDS, all_setup_configs, setup_config
 from merminsim.cli import main
@@ -97,6 +102,23 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert "all invariant checks passed" in out
     assert "FAIL" not in out
+
+
+def test_audit_commands_never_import_numpy_random():
+    # A process that draws nothing stays light: verify and bounds recheck the
+    # catalog without loading numpy's random module.
+    code = (
+        "import contextlib, io, sys\n"
+        "from merminsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify']) == 0\n"
+        "    assert cli.main(['bounds', '--qubits', '5', '--setup', 'al']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = str(Path(merminsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,43 @@ def test_exchange_json_matches_the_oracle(qubits):
             report = run_exchange_test(seed=seed, noise=noise, qubits=qubits)
             text = render_exchange_report(report, "json")
             assert text == expected(report, exchange_oracle)
+
+
+def _with_distinct_terms(report: ExperimentReport) -> ExperimentReport:
+    """The report with each term's axes and coefficient replaced by an equal
+    but distinct object, so its terms are not its plan's and each render
+    builds their frames."""
+    terms = tuple(
+        dataclasses.replace(
+            t, axes="".join(list(t.axes)), coefficient=Fraction(t.coefficient.numerator, t.coefficient.denominator)
+        )
+        for t in report.terms
+    )
+    return dataclasses.replace(report, terms=terms)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=["clean", "p0.02"])
+@pytest.mark.parametrize("expand", [False, True], ids=["class", "expanded"])
+@pytest.mark.parametrize("setup", list(Setup), ids=lambda s: s.value)
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_plan_frames_render_what_the_frame_builders_render(qubits, setup, expand, noise):
+    report = _report(qubits, setup, seed=5, noise=noise, expand_permutations=expand)
+    loaded = ExperimentReport.from_dict(report.to_dict())
+    assert harness._plan_of(report) is not None and harness._plan_of(loaded) is not None
+    for copy in (_with_distinct_terms(report), pickle.loads(pickle.dumps(report))):
+        assert copy == report and harness._plan_of(copy) is None
+        for fmt in harness.RENDER_FORMATS:
+            assert render_report(copy, fmt) == render_report(report, fmt)
+
+
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_exchange_plan_frames_render_what_the_frame_builders_render(qubits):
+    for noise in NOISES:
+        report = run_exchange_test(seed=5, noise=noise, qubits=qubits)
+        copy = _with_distinct_terms(report)
+        assert harness._plan_of(report) is not None and harness._plan_of(copy) is None
+        for fmt in harness.RENDER_FORMATS:
+            assert render_exchange_report(copy, fmt) == render_exchange_report(report, fmt)
 
 
 def test_hand_built_leaves_render_as_json_dumps_writes_them():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -276,6 +279,17 @@ def test_round_error_first_significant_digit(raw, rounded):
     assert round_error(raw) == pytest.approx(rounded, abs=1e-15)
 
 
+@pytest.mark.parametrize("exponent", range(-6, 2))
+def test_round_error_writes_one_significant_digit(exponent):
+    # leading * 10.0**exponent rounded twice: round_error(0.3) was 0.30000000000000004.
+    for leading in range(1, 10):
+        want = float(f"{leading}e{exponent}")
+        for raw in (want, want * 1.04, want * 0.96):
+            got = round_error(raw)
+            assert got == want
+            assert len(Decimal(repr(got)).normalize().as_tuple().digits) == 1, repr(got)
+
+
 def test_round_error_rejects_negative():
     with pytest.raises(ValueError):
         round_error(-0.01)
@@ -358,3 +372,61 @@ def test_a_negative_seed_is_refused():
     ):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             draw()
+
+
+def _recipe_row(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The README's recipe for a row, on a fresh PCG64."""
+    digest = hashlib.sha256(b"merminsim pcg64\x1f" + str(seed).encode()).digest()
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(digest[:16], "little"), "inc": int.from_bytes(digest[16:], "little") | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator).multinomial(shots, weights)
+
+
+def test_a_row_drawn_after_an_unrelated_call_is_the_recipes_row():
+    # draw_counts reuses its thread's generator across calls; what an earlier
+    # call drew (other weights, shots and seed) must not reach a later row.
+    rng = np.random.default_rng(701)
+    weights = [checked_weights(rng.dirichlet(np.ones(2**n))) for n in (1, 3, 5)]
+    for k, w in enumerate(weights):
+        for shots in (1, 25, 16384):
+            draw_counts([(weights[k - 1], 2**62 + k), (weights[k - 1], 3)], 999 + shots)
+            seed = 17 * k + shots
+            assert np.array_equal(draw_counts([(w, seed)], shots)[0], _recipe_row(w, shots, seed))
+
+
+def test_threads_draw_what_the_same_draws_give_serially():
+    # Each thread has its own generator, so interleaved draws on four threads
+    # give the matrices the same draws give one after another.
+    rng = np.random.default_rng(702)
+    jobs = [
+        [(checked_weights(rng.dirichlet(np.ones(2**n))), int(s)) for s in rng.integers(0, 2**62, 6)]
+        for n in (2, 3, 4, 5)
+    ]
+    serial = [draw_counts(job, 4096) for job in jobs]
+    results: list[list[np.ndarray]] = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def work(k: int) -> None:
+        start.wait(timeout=30)
+        for _ in range(50):
+            results[k].append(draw_counts(jobs[k], 4096))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 50
+        assert all(np.array_equal(matrix, want) for matrix in got)
