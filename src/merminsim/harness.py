@@ -95,7 +95,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TermEstimate:
-    """One measured circuit: its class, coefficient, and estimate."""
+    """One measured circuit: its class, coefficient, and estimate.  The
+    value and error are read as finite floats (the error >= 0) and the seed
+    as an int; anything else raises ``ValueError``."""
 
     y_count: int
     axes: str
@@ -105,11 +107,20 @@ class TermEstimate:
     error: float
     seed: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", check_real("term value", self.value, -math.inf))
+        object.__setattr__(self, "error", check_real("term error", self.error, 0.0))
+        object.__setattr__(self, "seed", check_int("term seed", self.seed))
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
     """What one run measured.  Its cell's polynomial, bounds, GHZ phase and
-    published rows are the checked catalog entry's (``_checked_setup``)."""
+    published rows are the checked catalog entry's (``_checked_setup``).
+    Its terms state its run's plan entries in order (axes, coefficient,
+    multiplicity, Y count), so every writer reads their frames from the
+    plan; a report with other terms, or a non-finite value or error, is
+    refused with ``ValueError`` when it is built."""
 
     config: ExperimentConfig
     terms: tuple[TermEstimate, ...]
@@ -117,6 +128,15 @@ class ExperimentReport:
     error: float
     verdict: str
     genuine_fourparty: bool | None
+
+    def __post_init__(self) -> None:
+        plan = _plan(self.config)
+        if len(self.terms) != len(plan) or any(
+            (t.axes, t.coefficient, t.multiplicity, t.y_count) != p[:4] for t, p in zip(self.terms, plan)
+        ):
+            raise ValueError(f"terms must state the run's {len(plan)} planned terms in order")
+        object.__setattr__(self, "value", check_real("result value", self.value, -math.inf))
+        object.__setattr__(self, "error", check_real("result error", self.error, 0.0))
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_report`` writes,
@@ -145,30 +165,22 @@ class ExperimentReport:
                 expand_permutations=cfg["expand_permutations"],
                 violation_sigmas=cfg["violation_sigmas"],
             )
-            plan = _checked_setup(config.qubits, config.setup).plans[config.expand_permutations]
+            plan = _plan(config)
             stored = d["terms"]
             if len(stored) != len(plan):
                 raise ValueError(
                     f"stored report field 'terms' lists {len(stored)} terms; the run measures {len(plan)}"
                 )
             terms = tuple(
-                TermEstimate(
-                    e.y_count,
-                    e.axes,
-                    e.coefficient,
-                    e.multiplicity,
-                    check_real("term value", t["value"], -math.inf),
-                    check_real("term error", t["error"], 0.0),
-                    check_int("term seed", t["seed"]),
-                )
+                TermEstimate(e.y_count, e.axes, e.coefficient, e.multiplicity, t["value"], t["error"], t["seed"])
                 for e, t in zip(plan, stored)
             )
             flag = d["genuine_fourparty"]
             report = cls(
                 config=config,
                 terms=terms,
-                value=check_real("result value", result["value"], -math.inf),
-                error=check_real("result error", result["error"], 0.0),
+                value=result["value"],
+                error=result["error"],
                 verdict=VERDICT_VIOLATES if d["verdict"] == VERDICT_VIOLATES else VERDICT_CONSISTENT,
                 genuine_fourparty=None if flag is None else flag is True,
             )
@@ -262,8 +274,6 @@ class _Cell(NamedTuple):
 
     config: SetupConfig
     plans: tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]]
-    # The published device table.
-    table: dict
     # The stored text of a report's five per-cell fields (the lines between
     # ``genuine_fourparty`` and ``result``).
     text: str
@@ -309,11 +319,15 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
     return _Cell(
         sc,
         plans,
-        table,
         _dumps(cell)[2:-2],
         tuple(_md_head(plan, "result") for plan in plans),
         (_experiment_published(table, by_class), ()),
     )
+
+
+def _plan(cfg: ExperimentConfig) -> tuple[_PlannedTerm, ...]:
+    """The term plan of a run: the circuits it measures, in order."""
+    return _checked_setup(cfg.qubits, cfg.setup).plans[cfg.expand_permutations]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -374,15 +388,18 @@ def run_exchange_test(
     return run_experiment(ExperimentConfig(qubits, Setup.MERMIN, shots, seed, noise, expand_permutations=True))
 
 
-def _exchange_view(report: ExperimentReport) -> tuple[tuple[TermEstimate, ...], float]:
+def _exchange_view(
+    report: ExperimentReport,
+) -> tuple[tuple[_PlannedTerm, ...], tuple[TermEstimate, ...], float]:
     """The exchange test's view of an expanded ``mermin`` run: its single-Y
-    terms (Y rightmost first) and their ``exchange_spread``."""
+    plan entries and terms (Y rightmost first) and the terms'
+    ``exchange_spread``."""
     cfg = report.config
     if cfg.setup is not Setup.MERMIN or not cfg.expand_permutations:
         mode = "expanded" if cfg.expand_permutations else "class-mode"
         raise ValueError(f"an exchange report shows an expanded mermin run, not a {mode} {cfg.setup.value} run")
-    terms = tuple(t for t in report.terms if t.y_count == 1)
-    return terms, exchange_spread(terms)
+    plan, terms = zip(*((p, t) for p, t in zip(_plan(cfg), report.terms) if p.y_count == 1))
+    return plan, terms, exchange_spread(terms)
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
@@ -419,12 +436,12 @@ def _json(value: object, depth: int) -> str:
 
 
 # A term's render frames hold what it states but its measurement and seed.
-# Each builder below is the one template of its layout: a catalog entry calls
-# it once per planned term, and a render calls it only for the terms of a
-# report that are not its plan's (``_plan_of``).
+# Each builder below is the one template of its layout, and a catalog entry
+# calls it once per planned term: a report's terms are its plan's
+# (``ExperimentReport``), so every render reads the plan's frames.
 
 
-def _json_frame(term: TermEstimate | _PlannedTerm) -> tuple[str, str, str, str, str]:
+def _json_frame(term: _PlannedTerm) -> tuple[str, str, str, str, str]:
     """A stored term's text around its ``error``, ``error_rounded``,
     ``seed`` and ``value``."""
     j = _json
@@ -449,12 +466,12 @@ def _json_frame(term: TermEstimate | _PlannedTerm) -> tuple[str, str, str, str, 
     )
 
 
-def _csv_head(term: TermEstimate | _PlannedTerm) -> str:
+def _csv_head(term: _PlannedTerm) -> str:
     """A CSV term row up to its value."""
     return f"term,{term.y_count},{term.axes},{term.coefficient},{term.multiplicity},"
 
 
-def _md_head(terms: Sequence[TermEstimate | _PlannedTerm], last: str) -> tuple[str, str]:
+def _md_head(terms: Sequence[_PlannedTerm], last: str) -> tuple[str, str]:
     """A markdown table's column header and separator: one column per term
     plus a ``last`` column."""
     return (
@@ -476,7 +493,7 @@ def _md_published(ref: dict | None, last: Callable[[dict], str]) -> tuple[str, .
     )
 
 
-def _experiment_published(ref: dict, terms: Sequence[TermEstimate | _PlannedTerm]) -> tuple[str, ...]:
+def _experiment_published(ref: dict, terms: Sequence[_PlannedTerm]) -> tuple[str, ...]:
     """The published rows of a class-mode table, when its columns are the
     published ones."""
     if ref["columns"] != [t.axes for t in terms]:
@@ -484,43 +501,20 @@ def _experiment_published(ref: dict, terms: Sequence[TermEstimate | _PlannedTerm
     return _md_published(ref, lambda row: f"{row['result']:.2f} +/- {ref['result_error']}")
 
 
-def _plan_of(report: ExperimentReport) -> tuple[_PlannedTerm, ...] | None:
-    """The plan of the report's run when its terms state the plan entries'
-    own objects (``is``: every report ``run_experiment`` and ``from_dict``
-    build), so the entries' frames render them; else None, and the terms'
-    frames are built at render time."""
-    cfg = report.config
-    plan = _checked_setup(cfg.qubits, cfg.setup).plans[cfg.expand_permutations]
-    if len(report.terms) != len(plan):
-        return None
-    for t, p in zip(report.terms, plan):
-        if (
-            t.axes is not p.axes
-            or t.coefficient is not p.coefficient
-            or t.multiplicity is not p.multiplicity
-            or t.y_count is not p.y_count
-        ):
-            return None
-    return plan
-
-
-def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm] | None) -> str:
-    """The stored ``terms`` list; ``plan`` holds the terms' frames, or is
-    None to build them."""
-    if not terms:
-        return "[]"
-    frames = map(_json_frame, terms) if plan is None else (p.json_frame for p in plan)
+def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm]) -> str:
+    """The stored ``terms`` list, written into the frames of their ``plan``
+    entries."""
     j = _json
     return "[\n" + ",\n".join(
         f"{a}{j(t.error, 3)}{b}{j(round_error(t.error), 3)}{c}{j(t.seed, 3)}{d}{j(t.value, 3)}{e}"
-        for t, (a, b, c, d, e) in zip(terms, frames)
+        for t, (a, b, c, d, e) in zip(terms, (p.json_frame for p in plan))
     ) + "\n  ]"
 
 
 def _experiment_json(report: ExperimentReport) -> str:
     """The stored experiment report: the one writer of its layout."""
     cfg, noise, j = report.config, report.config.noise, _json
-    cell_text = _checked_setup(cfg.qubits, cfg.setup).text
+    cell = _checked_setup(cfg.qubits, cfg.setup)
     return f"""{{
   "config": {{
     "expand_permutations": {j(cfg.expand_permutations, 2)},
@@ -536,14 +530,14 @@ def _experiment_json(report: ExperimentReport) -> str:
     "violation_sigmas": {j(cfg.violation_sigmas, 2)}
   }},
   "genuine_fourparty": {j(report.genuine_fourparty, 1)},
-{cell_text},
+{cell.text},
   "result": {{
     "error": {j(report.error, 2)},
     "error_rounded": {j(round_error(report.error), 2)},
     "value": {j(report.value, 2)}
   }},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "terms": {_terms_json(report.terms, _plan_of(report))},
+  "terms": {_terms_json(report.terms, cell.plans[cfg.expand_permutations])},
   "verdict": {j(report.verdict, 1)}
 }}
 """
@@ -559,10 +553,7 @@ _EXCHANGE_TABLE_TEXT = {n: _json(_exchange_table(n), 1) for n in QUBIT_COUNTS}
 
 def _exchange_json(report: ExperimentReport) -> str:
     """The stored exchange report, from the same leaves and sections."""
-    terms, spread = _exchange_view(report)
-    plan = _plan_of(report)
-    if plan is not None:
-        plan = [p for p in plan if p.y_count == 1]
+    plan, terms, spread = _exchange_view(report)
     cfg, noise, j = report.config, report.config.noise, _json
     return f"""{{
   "noise": {{
@@ -611,11 +602,9 @@ def _md_simulated(terms: Sequence[TermEstimate], last: str) -> str:
 
 
 def _csv_lines(report: ExperimentReport) -> list[str]:
-    plan = _plan_of(report)
-    heads = map(_csv_head, report.terms) if plan is None else (p.csv_head for p in plan)
     lines = ["row,y_count,axes,coefficient,multiplicity,value,error,error_rounded"]
-    for head, t in zip(heads, report.terms):
-        lines.append(f"{head}{t.value!r},{t.error!r},{round_error(t.error)!r}")
+    for p, t in zip(_plan(report.config), report.terms):
+        lines.append(f"{p.csv_head}{t.value!r},{t.error!r},{round_error(t.error)!r}")
     lines.append(
         f"result,,,,,{report.value!r},{report.error!r},{round_error(report.error)!r}"
     )
@@ -625,20 +614,14 @@ def _csv_lines(report: ExperimentReport) -> list[str]:
 def _md_lines(report: ExperimentReport) -> list[str]:
     cfg = report.config
     cell = _checked_setup(cfg.qubits, cfg.setup)
-    if _plan_of(report) is not None:
-        head, published = cell.md_heads[cfg.expand_permutations], cell.md_published[cfg.expand_permutations]
-    else:
-        # Expanded runs have per-permutation columns the published table lacks.
-        head = _md_head(report.terms, "result")
-        published = () if cfg.expand_permutations else _experiment_published(cell.table, report.terms)
     out = [
         f"# Mermin test: {cfg.qubits} qubits, setup {cfg.setup.value}",
         "",
         _md_params(cfg) + f", expanded={cfg.expand_permutations}",
         "",
-        *head,
+        *cell.md_heads[cfg.expand_permutations],
         _md_simulated(report.terms, _fmt_pm(report.value, report.error)),
-        *published,
+        *cell.md_published[cfg.expand_permutations],
         "",
         f"LR bound {cell.config.lr_bound}, QM value {cell.config.qm_value:.6f}, "
         f"verdict **{report.verdict}** "
@@ -654,7 +637,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
 
 
 def _exchange_csv_lines(report: ExperimentReport) -> list[str]:
-    terms, spread = _exchange_view(report)
+    _, terms, spread = _exchange_view(report)
     lines = ["row,axes,value,error,error_rounded"]
     for t in terms:
         lines.append(f"term,{t.axes},{t.value!r},{t.error!r},{round_error(t.error)!r}")
@@ -663,14 +646,14 @@ def _exchange_csv_lines(report: ExperimentReport) -> list[str]:
 
 
 def _exchange_md_lines(report: ExperimentReport) -> list[str]:
-    terms, spread = _exchange_view(report)
+    plan, terms, spread = _exchange_view(report)
     cfg = report.config
     return [
         f"# Exchange test: {cfg.qubits} qubits",
         "",
         _md_params(cfg),
         "",
-        *_md_head(terms, "spread"),
+        *_md_head(plan, "spread"),
         _md_simulated(terms, f"{spread:.4f}"),
         *_md_published(_exchange_table(cfg.qubits), lambda row: f"{row['spread']:.3f}"),
     ]

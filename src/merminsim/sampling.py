@@ -248,9 +248,9 @@ def round_error(error: float) -> float:
     """Round an uncertainty to its first significant decimal digit (ties up):
     0.0221 -> 0.02, 0.0076 -> 0.008, 0.098 -> 0.1.  The result is the float
     nearest that one-digit decimal, so its repr has one significant digit
-    (0.3, never 0.30000000000000004)."""
-    if error < 0:
-        raise ValueError(f"error must be >= 0, got {error}")
+    (0.3, never 0.30000000000000004).  A negative or non-finite error
+    raises ``ValueError``."""
+    error = check_real("error", error, 0.0)
     if error == 0.0:
         return 0.0
     exponent = math.floor(math.log10(error))

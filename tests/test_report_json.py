@@ -4,7 +4,9 @@
 reports were once written, with the per-cell fields taken straight from the
 catalog and the published tables; ``json.dumps`` of it is the reference text.
 The writer must give exactly those bytes for every catalog cell and for
-hand-built reports with unusual leaves.
+hand-built reports with unusual leaves.  A report whose terms are not its
+run's plan, or that holds a non-finite number, cannot be built, so no format
+writes one.
 """
 
 from __future__ import annotations
@@ -132,8 +134,7 @@ def test_exchange_json_matches_the_oracle(qubits):
 
 def _with_distinct_terms(report: ExperimentReport) -> ExperimentReport:
     """The report with each term's axes and coefficient replaced by an equal
-    but distinct object, so its terms are not its plan's and each render
-    builds their frames."""
+    but distinct object."""
     terms = tuple(
         dataclasses.replace(
             t, axes="".join(list(t.axes)), coefficient=Fraction(t.coefficient.numerator, t.coefficient.denominator)
@@ -143,6 +144,8 @@ def _with_distinct_terms(report: ExperimentReport) -> ExperimentReport:
     return dataclasses.replace(report, terms=terms)
 
 
+# A render reads every frame from the plan, so an equal copy of a report (with
+# equal but distinct term objects, unpickled or reloaded) writes its bytes.
 @pytest.mark.parametrize("noise", NOISES, ids=["clean", "p0.02"])
 @pytest.mark.parametrize("expand", [False, True], ids=["class", "expanded"])
 @pytest.mark.parametrize("setup", list(Setup), ids=lambda s: s.value)
@@ -150,9 +153,8 @@ def _with_distinct_terms(report: ExperimentReport) -> ExperimentReport:
 def test_plan_frames_render_what_the_frame_builders_render(qubits, setup, expand, noise):
     report = _report(qubits, setup, seed=5, noise=noise, expand_permutations=expand)
     loaded = ExperimentReport.from_dict(report.to_dict())
-    assert harness._plan_of(report) is not None and harness._plan_of(loaded) is not None
-    for copy in (_with_distinct_terms(report), pickle.loads(pickle.dumps(report))):
-        assert copy == report and harness._plan_of(copy) is None
+    for copy in (_with_distinct_terms(report), pickle.loads(pickle.dumps(report)), loaded):
+        assert copy == report
         for fmt in harness.RENDER_FORMATS:
             assert render_report(copy, fmt) == render_report(report, fmt)
 
@@ -161,38 +163,70 @@ def test_plan_frames_render_what_the_frame_builders_render(qubits, setup, expand
 def test_exchange_plan_frames_render_what_the_frame_builders_render(qubits):
     for noise in NOISES:
         report = run_exchange_test(seed=5, noise=noise, qubits=qubits)
-        copy = _with_distinct_terms(report)
-        assert harness._plan_of(report) is not None and harness._plan_of(copy) is None
-        for fmt in harness.RENDER_FORMATS:
-            assert render_exchange_report(copy, fmt) == render_exchange_report(report, fmt)
+        for copy in (_with_distinct_terms(report), pickle.loads(pickle.dumps(report))):
+            assert copy == report
+            for fmt in harness.RENDER_FORMATS:
+                assert render_exchange_report(copy, fmt) == render_exchange_report(report, fmt)
+
+
+def _replace_term(terms, i: int, **changes) -> tuple:
+    """``terms`` with term ``i`` changed."""
+    return terms[:i] + (dataclasses.replace(terms[i], **changes),) + terms[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda terms: (),
+        lambda terms: terms[:-1],
+        lambda terms: terms + terms[:1],
+        lambda terms: terms[::-1],
+        lambda terms: _replace_term(terms, 0, axes=terms[0].axes[::-1]),
+        lambda terms: _replace_term(terms, 0, coefficient=Fraction(3, 2)),
+    ],
+    ids=["empty", "too-short", "too-long", "reversed", "axes-changed", "coefficient-changed"],
+)
+def test_terms_that_are_not_the_runs_plan_are_refused(edit):
+    report = _report()
+    assert report.terms[0].axes != report.terms[0].axes[::-1]
+    with pytest.raises(ValueError, match="terms"):
+        dataclasses.replace(report, terms=edit(report.terms))
 
 
 def test_hand_built_leaves_render_as_json_dumps_writes_them():
     report = _report()
-    term = dataclasses.replace(report.terms[0], value=1, coefficient=Fraction(3, 2))
+    terms = _replace_term(report.terms, 0, value=1)
     for edited in (
-        dataclasses.replace(report, value=4, error=np.float64(0.5), terms=(term,)),
+        dataclasses.replace(report, value=4, error=np.float64(0.5), terms=terms),
         dataclasses.replace(report, verdict={"b": [1, 2.5], "a": None}, genuine_fourparty=(True, "x")),
-        dataclasses.replace(report, terms=()),
     ):
         assert render_report(edited, "json") == expected(edited)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_term_value_raises_value_error(bad):
-    report = _report()
-    edited = dataclasses.replace(report, terms=(dataclasses.replace(report.terms[0], value=bad),))
-    with pytest.raises(ValueError):
-        render_report(edited, "json")
-    with pytest.raises(ValueError):
-        json.dumps(oracle(edited), allow_nan=False)
+    # An expanded mermin run, which both renderers show; its first single-Y
+    # term is one the exchange view shows too.
+    report = run_exchange_test()
+    i = [t.y_count for t in report.terms].index(1)
+    edits = {
+        "term value": lambda: dataclasses.replace(report, terms=_replace_term(report.terms, i, value=bad)),
+        "term error": lambda: dataclasses.replace(report, terms=_replace_term(report.terms, i, error=bad)),
+        "result value": lambda: dataclasses.replace(report, value=bad),
+        "result error": lambda: dataclasses.replace(report, error=bad),
+    }
+    for name, edit in edits.items():
+        for render in (render_report, render_exchange_report):
+            for fmt in harness.RENDER_FORMATS:
+                with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+                    render(edit(), fmt)
 
 
-def test_numpy_float32_term_value_raises_type_error():
+def test_numpy_float32_term_value_is_read_as_a_float():
     report = _report()
-    edited = dataclasses.replace(report, terms=(dataclasses.replace(report.terms[0], value=np.float32(0.5)),))
-    with pytest.raises(TypeError):
-        render_report(edited, "json")
+    edited = dataclasses.replace(report, terms=_replace_term(report.terms, 0, value=np.float32(0.5)))
+    assert type(edited.terms[0].value) is float and edited.terms[0].value == 0.5
+    assert render_report(edited, "json") == expected(edited)
 
 
 def test_warm_catalog_render_calls_json_dumps_zero_times(monkeypatch):

@@ -293,6 +293,10 @@ def test_round_error_writes_one_significant_digit(exponent):
 def test_round_error_rejects_negative():
     with pytest.raises(ValueError):
         round_error(-0.01)
+    # Refused by the input check, not by a failed integer conversion inside.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            round_error(bad)
 
 
 def test_derive_seed_is_stable_and_context_sensitive():
