@@ -35,16 +35,7 @@ from .polynomials import (
     mermin_direct,
     primed,
 )
-from .sampling import (
-    Estimate,
-    ShotCounts,
-    derive_seed,
-    exchange_spread,
-    expectation_from_counts,
-    polynomial_estimate_expanded,
-    round_error,
-    sample_shots,
-)
+from .sampling import exchange_spread, polynomial_estimate_expanded, round_error
 from .statevector import (
     Gate,
     Statevector,
@@ -89,14 +80,9 @@ __all__ = [
     "eigencheck",
     "mermin_direct",
     "primed",
-    "Estimate",
-    "ShotCounts",
-    "derive_seed",
     "exchange_spread",
-    "expectation_from_counts",
     "polynomial_estimate_expanded",
     "round_error",
-    "sample_shots",
     "Gate",
     "Statevector",
     "ghz_state",

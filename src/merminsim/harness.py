@@ -119,8 +119,11 @@ class ExperimentReport:
     published rows are the checked catalog entry's (``_checked_setup``).
     Its terms state its run's plan entries in order (axes, coefficient,
     multiplicity, Y count), so every writer reads their frames from the
-    plan; a report with other terms, or a non-finite value or error, is
-    refused with ``ValueError`` when it is built."""
+    plan.  A report with other terms, a non-finite value or error, a
+    verdict other than ``VERDICT_VIOLATES`` or ``VERDICT_CONSISTENT``, or a
+    ``genuine_fourparty`` that is not a bool on a run with the four-party
+    claim (``_claims_fourparty``) and None on any other, is refused with
+    ``ValueError`` when it is built."""
 
     config: ExperimentConfig
     terms: tuple[TermEstimate, ...]
@@ -137,6 +140,14 @@ class ExperimentReport:
             raise ValueError(f"terms must state the run's {len(plan)} planned terms in order")
         object.__setattr__(self, "value", check_real("result value", self.value, -math.inf))
         object.__setattr__(self, "error", check_real("result error", self.error, 0.0))
+        if self.verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
+            raise ValueError(f"verdict must be {VERDICT_VIOLATES!r} or {VERDICT_CONSISTENT!r}, got {self.verdict!r}")
+        flag = self.genuine_fourparty
+        if _claims_fourparty(self.config):
+            if type(flag) is not bool:
+                raise ValueError(f"genuine_fourparty must be a bool on a 4-qubit al or al-mod run, got {flag!r}")
+        elif flag is not None:
+            raise ValueError(f"genuine_fourparty must be None on a run without the four-party claim, got {flag!r}")
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_report`` writes,
@@ -175,14 +186,13 @@ class ExperimentReport:
                 TermEstimate(e.y_count, e.axes, e.coefficient, e.multiplicity, t["value"], t["error"], t["seed"])
                 for e, t in zip(plan, stored)
             )
-            flag = d["genuine_fourparty"]
             report = cls(
                 config=config,
                 terms=terms,
                 value=result["value"],
                 error=result["error"],
-                verdict=VERDICT_VIOLATES if d["verdict"] == VERDICT_VIOLATES else VERDICT_CONSISTENT,
-                genuine_fourparty=None if flag is None else flag is True,
+                verdict=d["verdict"],
+                genuine_fourparty=d["genuine_fourparty"],
             )
             again = report.to_dict()
             if _dumps(d) != _dumps(again):
@@ -325,6 +335,11 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
     )
 
 
+def _claims_fourparty(cfg: ExperimentConfig) -> bool:
+    """Whether a run states the genuine four-party claim: 4-qubit ``al`` and ``al-mod``."""
+    return cfg.qubits == 4 and cfg.setup in (Setup.AL, Setup.AL_MODIFIED)
+
+
 def _plan(cfg: ExperimentConfig) -> tuple[_PlannedTerm, ...]:
     """The term plan of a run: the circuits it measures, in order."""
     return _checked_setup(cfg.qubits, cfg.setup).plans[cfg.expand_permutations]
@@ -343,8 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cell = _checked_setup(cfg.qubits, cfg.setup)
     sc, plan = cell.config, cell.plans[cfg.expand_permutations]
     # Each planned term's seed derives from the config seed and its label; its
-    # shots are drawn from the memoised weights (``sample_shots`` on the exact
-    # distribution without checking it again), and the run's count matrix is
+    # shots are drawn from the memoised weights (the exact distribution,
+    # checked once when it entered the memo), and the run's count matrix is
     # estimated in one pass.
     seeds = derive_seeds(cfg.seed, [p.label for p in plan])
     weights = _plan_weights(cfg.qubits, sc.ghz_phase, tuple([p.axes for p in plan]), cfg.noise)
@@ -353,22 +368,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         TermEstimate(p.y_count, p.axes, p.coefficient, p.multiplicity, v, e, s)
         for p, v, e, s in zip(plan, values, errors, seeds)
     )
-    total = polynomial_estimate_expanded([(p.weight, t) for p, t in zip(plan, terms)])
+    value, error = polynomial_estimate_expanded([(p.weight, t) for p, t in zip(plan, terms)])
 
     # Both claims hold only with violation_sigmas standard errors to spare.
-    lower = total.value - cfg.violation_sigmas * total.error
-    violates = lower > sc.lr_bound
-    genuine: bool | None = None
-    if cfg.qubits == 4 and cfg.setup in (Setup.AL, Setup.AL_MODIFIED):
-        genuine = bool(lower > GENUINE_FOURPARTY_BOUND)
-
+    lower = value - cfg.violation_sigmas * error
     return ExperimentReport(
         config=cfg,
         terms=terms,
-        value=total.value,
-        error=total.error,
-        verdict=VERDICT_VIOLATES if violates else VERDICT_CONSISTENT,
-        genuine_fourparty=genuine,
+        value=value,
+        error=error,
+        verdict=VERDICT_VIOLATES if lower > sc.lr_bound else VERDICT_CONSISTENT,
+        genuine_fourparty=bool(lower > GENUINE_FOURPARTY_BOUND) if _claims_fourparty(cfg) else None,
     )
 
 
@@ -399,7 +409,7 @@ def _exchange_view(
         mode = "expanded" if cfg.expand_permutations else "class-mode"
         raise ValueError(f"an exchange report shows an expanded mermin run, not a {mode} {cfg.setup.value} run")
     plan, terms = zip(*((p, t) for p, t in zip(_plan(cfg), report.terms) if p.y_count == 1))
-    return plan, terms, exchange_spread(terms)
+    return plan, terms, exchange_spread([t.value for t in terms])
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,

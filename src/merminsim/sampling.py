@@ -16,9 +16,8 @@ import hashlib
 import math
 import numbers
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -27,18 +26,6 @@ from .statevector import MAX_QUBITS
 
 # (-1)**popcount(i) for every outcome index i of up to MAX_QUBITS bits.
 _PARITY_SIGNS = 1.0 - 2.0 * mask_parity(np.arange(1 << MAX_QUBITS), (1 << MAX_QUBITS) - 1)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A measured value with its one-sigma uncertainty."""
-
-    value: float
-    error: float
-
-    def __post_init__(self) -> None:
-        if self.error < 0:
-            raise ValueError(f"error must be >= 0, got {self.error}")
 
 
 def check_int(name: str, value: object, minimum: int | None = None) -> int:
@@ -67,38 +54,14 @@ def check_real(name: str, value: object, minimum: float, maximum: float = math.i
 
 def check_shots(shots: object) -> int:
     """A shot count numpy's multinomial takes, an integer in [1, 2**63 - 1],
-    as a plain int."""
+    as a plain int.  The legacy ``RandomState.multinomial`` that draws the
+    counts reads it as a C ``long``, which is 64-bit on Linux and macOS but
+    32-bit on Windows, so there a count above 2**31 - 1 fails inside
+    numpy."""
     shots = check_int("shots", shots, 1)
     if shots > 2**63 - 1:
         raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
     return shots
-
-
-@dataclass(frozen=True)
-class ShotCounts:
-    """Outcome histogram of one measured circuit: ``vector[i]`` shots gave
-    outcome ``i``, read MSB-first (qubit 0 is the leftmost bit).  Counts are
-    integers (numpy integers are accepted, bools and floats are not) and
-    their total lies in [1, 2**63 - 1], the range of numpy's multinomial."""
-
-    n: int
-    vector: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = check_int("n", self.n)
-        # n <= MAX_QUBITS also keeps every outcome inside _PARITY_SIGNS.
-        if not 0 <= n <= MAX_QUBITS or len(self.vector) != 1 << n:
-            raise ValueError(f"need 2**n counts, n <= {MAX_QUBITS}; got n={self.n}, {len(self.vector)}")
-        vector = tuple(check_int("count", c, 0) for c in self.vector)
-        total = sum(vector)
-        if not 1 <= total <= 2**63 - 1:
-            raise ValueError(f"counts must total 1 to 2**63 - 1, got {total}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vector", vector)
-
-    @property
-    def total(self) -> int:
-        return sum(self.vector)
 
 
 def checked_weights(probs: np.ndarray) -> np.ndarray:
@@ -128,7 +91,7 @@ def checked_weights(probs: np.ndarray) -> np.ndarray:
 _STATE_DOMAIN = b"merminsim pcg64\x1f"
 
 
-# This thread's ``(PCG64, Generator)`` pair, as ``_draw.pair``.  Every row sets
+# This thread's ``(PCG64, RandomState)`` pair, as ``_draw.pair``.  Every row sets
 # the bit generator's whole state before it draws, so the pair carries nothing
 # from one row to the next and one pair serves every call on its thread.
 _draw = threading.local()
@@ -150,10 +113,11 @@ def generator_state(seed: int) -> dict:
 def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarray:
     """The int64 count matrix of ``(weights, seed)`` draws: row k is one
     multinomial histogram of ``shots`` draws from ``checked_weights`` output,
-    drawn by this thread's numpy ``Generator``, whose ``PCG64`` is set to
+    drawn by this thread's numpy ``RandomState``, whose ``PCG64`` is set to
     ``generator_state(seed)`` first, so a row depends only on its weights
-    and seed, and identical seeds give identical rows.  ``shots`` must pass
-    ``check_shots``.
+    and seed, and identical seeds give identical rows.  ``RandomState``'s
+    distributions are numpy's frozen legacy stream (NEP 19), so a numpy
+    release should not move the rows.  ``shots`` must pass ``check_shots``.
 
     Each thread builds its generator on its first draw, so a process that
     draws nothing never imports ``numpy.random``, and no call builds one
@@ -163,25 +127,13 @@ def draw_counts(draws: Iterable[tuple[np.ndarray, int]], shots: int) -> np.ndarr
         bit_generator, generator = _draw.pair
     except AttributeError:
         bit_generator = np.random.PCG64(np.random.SeedSequence(0))
-        generator = np.random.Generator(bit_generator)
+        generator = np.random.RandomState(bit_generator)
         _draw.pair = bit_generator, generator
     rows = []
     for weights, seed in draws:
         bit_generator.state = generator_state(seed)
         rows.append(generator.multinomial(shots, weights))
     return np.array(rows, dtype=np.int64)
-
-
-def draw_shots(weights: np.ndarray, shots: int, seed: int) -> ShotCounts:
-    """One multinomial histogram of ``shots`` draws from ``checked_weights``
-    output: the one row of ``draw_counts``."""
-    return ShotCounts(weights.size.bit_length() - 1, tuple(draw_counts([(weights, seed)], shots)[0].tolist()))
-
-
-def sample_shots(probs: np.ndarray, shots: int, seed: int) -> ShotCounts:
-    """Draw a multinomial outcome histogram from a checked outcome distribution;
-    identical seeds give identical counts."""
-    return draw_shots(checked_weights(probs), shots, seed)
 
 
 def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[float]]:
@@ -213,35 +165,25 @@ def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[
     return p_hat[:, -1].tolist(), [math.sqrt(v) for v in spread[:, -1].tolist()]
 
 
-def expectation_from_counts(counts: ShotCounts) -> Estimate:
-    """Parity estimator sum_o p_hat(o) * (-1)**ones(o) with plug-in binomial
-    error: ``parity_estimates`` of the one-row matrix."""
-    values, errors = parity_estimates(np.array([counts.vector], dtype=np.int64), counts.total)
-    return Estimate(values[0], errors[0])
-
-
-def polynomial_estimate_expanded(
-    parts: Sequence[tuple[Fraction | float, Estimate]],
-) -> Estimate:
+def polynomial_estimate_expanded(parts: Sequence[tuple[Fraction | float, Any]]) -> tuple[float, float]:
     """Combine independent measurements, each with its weight (a term's coefficient,
-    or a class's coefficient * multiplicity): errors add in quadrature.  A
-    measurement is anything with a ``value`` and an ``error``, such as a
-    report's terms."""
+    or a class's coefficient * multiplicity), into ``(value, error)``: errors
+    add in quadrature.  A measurement is anything with a ``value`` and an
+    ``error``, such as a report's terms."""
     value = 0.0
     var = 0.0
     for coeff, est in parts:
         c = float(coeff)
         value += c * est.value
         var += c * c * est.error * est.error
-    return Estimate(value, math.sqrt(var))
+    return value, math.sqrt(var)
 
 
-def exchange_spread(estimates: Sequence[Estimate]) -> float:
-    """Sample standard deviation (n-1 divisor) of the estimate values (of
-    anything with a ``value``, such as a report's terms)."""
-    if len(estimates) < 2:
-        raise ValueError("need at least two estimates")
-    return float(np.std([e.value for e in estimates], ddof=1))
+def exchange_spread(values: Sequence[float]) -> float:
+    """Sample standard deviation (n-1 divisor) of the values."""
+    if len(values) < 2:
+        raise ValueError("need at least two values")
+    return float(np.std(values, ddof=1))
 
 
 def round_error(error: float) -> float:
@@ -283,12 +225,3 @@ def derive_seeds(base_seed: int, labels: Iterable[bytes]) -> list[int]:
         h.update(label)
         seeds.append(int.from_bytes(h.digest()[:8], "little") >> 1)
     return seeds
-
-
-def derive_seed(base_seed: int, *parts: object) -> int:
-    """Stable per-task sub-seed: hash the base seed with context labels
-    (``derive_seeds`` of their ``seed_label``).
-
-    Independent of PYTHONHASHSEED and platform so reports reproduce exactly.
-    """
-    return derive_seeds(base_seed, [seed_label(*parts)])[0]

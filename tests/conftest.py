@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from merminsim import Circuit, Gate, NoiseModel, ShotCounts
+from merminsim import Circuit, Gate, NoiseModel
 from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 
 
@@ -95,10 +95,12 @@ def dense_noisy_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray
     return probs
 
 
-def trajectory_counts(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> ShotCounts:
+def trajectory_counts(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> np.ndarray:
     """Monte Carlo oracle: one pure-state trajectory per shot.  After every
     gate each touched qubit draws an X, Y or Z kick with the gate's
-    probability; each outcome bit then flips with the readout probability."""
+    probability; each outcome bit then flips with the readout probability.
+    Returns the count vector (index i is outcome i, qubit 0 the most
+    significant bit)."""
     n = circuit.n
     rng = np.random.default_rng(seed)
     amp = np.zeros((shots, 2**n), dtype=complex)
@@ -117,13 +119,15 @@ def trajectory_counts(circuit: Circuit, model: NoiseModel, shots: int, seed: int
     outcomes = np.minimum(outcomes, 2**n - 1)
     bits = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
     outcomes ^= (rng.random((shots, n)) < model.readout_flip) @ bits
-    return ShotCounts(n, tuple(np.bincount(outcomes, minlength=2**n).tolist()))
+    return np.bincount(outcomes, minlength=2**n)
 
 
-def string_keyed_expectation(counts: ShotCounts) -> tuple[float, float]:
-    """Bit-exact oracle of the parity estimator: the nonzero bins as bit
-    strings in ascending order, each sign parsed back from its string."""
-    keyed = {format(i, f"0{counts.n}b"): c for i, c in enumerate(counts.vector) if c > 0}
+def string_keyed_expectation(counts: np.ndarray) -> tuple[float, float]:
+    """Bit-exact oracle of the parity estimator of a count vector: the
+    nonzero bins as bit strings in ascending order, each sign parsed back
+    from its string."""
+    n = len(counts).bit_length() - 1
+    keyed = {format(i, f"0{n}b"): c for i, c in enumerate(counts.tolist()) if c > 0}
     total = sum(keyed.values())
     value = 0.0
     var = 0.0

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from merminsim import (
-    Estimate,
     ExperimentConfig,
     NoiseModel,
     PauliString,
@@ -40,10 +40,9 @@ from merminsim import (
     run,
     run_exchange_test,
     run_experiment,
-    sample_shots,
-    expectation_from_counts,
 )
 from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
+from merminsim.sampling import checked_weights, draw_counts, parity_estimates
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,24 +148,22 @@ def test_criterion_5_error_propagation(verdict):
     problems = []
     # (a) Per-term 0.007 propagates to sqrt(10)*0.007 ~ 0.0221 for the
     # three-qubit polynomial and displays as 0.02.
-    published = {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)}
-    est = polynomial_estimate_expanded(
+    published = {1: SimpleNamespace(value=0.847, error=0.007), 3: SimpleNamespace(value=-0.799, error=0.007)}
+    _, error = polynomial_estimate_expanded(
         [(float(cl.coefficient) * cl.multiplicity, published[cl.y_count]) for cl in collapse(mermin_direct(3))]
     )
-    if abs(est.error - 0.007 * math.sqrt(10)) > 1e-15:
-        problems.append(f"propagated error {est.error!r}")
-    if abs(round_error(est.error) - 0.02) > 1e-15:
-        problems.append(f"rounded display {round_error(est.error)!r} != 0.02")
+    if abs(error - 0.007 * math.sqrt(10)) > 1e-15:
+        problems.append(f"propagated error {error!r}")
+    if abs(round_error(error) - 0.02) > 1e-15:
+        problems.append(f"rounded display {round_error(error)!r} != 0.02")
     # (b) The plug-in error tracks the real scatter within a factor of two.
     # Use a term whose expectation is not +-1 (XXXX on GHZ(4, -pi/4),
     # value sqrt(2)/2) so the outcome parity actually fluctuates.
     circuit = ghz_circuit(4, -math.pi / 4).then(measurement_transform(PauliString.from_str("XXXX")))
-    probs = probabilities(run(circuit))
-    estimates = [
-        expectation_from_counts(sample_shots(probs, 16384, seed=s)) for s in range(100)
-    ]
-    empirical = float(np.std([e.value for e in estimates], ddof=1))
-    reported = float(np.mean([e.error for e in estimates]))
+    weights = checked_weights(probabilities(run(circuit)))
+    values, errors = parity_estimates(draw_counts([(weights, s) for s in range(100)], 16384), 16384)
+    empirical = float(np.std(values, ddof=1))
+    reported = float(np.mean(errors))
     ratio = reported / empirical
     if not 0.5 <= ratio <= 2.0:
         problems.append(f"reported/empirical error ratio {ratio:.3f} outside [0.5, 2]")
@@ -196,7 +193,7 @@ def test_criterion_6_exchange_invariance(verdict):
     worst = 0.0
     for seed in range(50):
         single_y = [t for t in run_exchange_test(seed=seed).terms if t.y_count == 1]
-        spread = exchange_spread(single_y)
+        spread = exchange_spread([t.value for t in single_y])
         scale = float(np.mean([t.error for t in single_y]))
         worst = max(worst, spread / scale)
         if spread > 3.0 * scale:

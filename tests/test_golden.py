@@ -10,10 +10,12 @@ shows which of the two it touched), and the audit commands' output, so a
 change of summation order anywhere in estimation or combination shows on
 every Python version the tests run on.
 The files and digests were made with numpy 2.4.6.  The sampled values depend
-on numpy's PCG64 bit generator and on its ``Generator.multinomial`` (each row
-drawn from a state set by ``sampling.generator_state``), so a numpy release
-that changes either may move them; the term seeds and the ``bounds`` and
-``verify`` output do not depend on numpy's draws.
+on numpy's PCG64 bit generator and on its legacy ``RandomState.multinomial``
+(each row drawn from a state set by ``sampling.generator_state``), a stream
+numpy's RNG policy (NEP 19) freezes, so a numpy release should not move
+them; CI checks that at the oldest numpy ``pyproject.toml`` allows.  The term
+seeds and the ``bounds`` and ``verify`` output do not depend on numpy's
+draws.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from merminsim import (
     ExperimentReport,
     NoiseModel,
     PauliString,
-    ShotCounts,
     ghz_circuit,
     measurement_transform,
     outcome_probabilities,
@@ -98,8 +99,8 @@ def test_a_golden_term_is_drawn_from_its_stored_seed_by_the_documented_recipe():
         "has_uint32": 0,
         "uinteger": 0,
     }
-    counts = np.random.Generator(bit_generator).multinomial(cfg["shots"], weights)
-    estimate = string_keyed_expectation(ShotCounts(cfg["qubits"], tuple(counts.tolist())))
+    counts = np.random.RandomState(bit_generator).multinomial(cfg["shots"], weights)
+    estimate = string_keyed_expectation(counts)
     assert estimate == (term["value"], term["error"])
 
 

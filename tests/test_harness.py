@@ -483,7 +483,7 @@ def test_exchange_test_is_the_single_y_view_of_the_expanded_mermin_run(qubits, n
     assert len(single_y) == qubits
     stored = json.loads(render_exchange_report(report, "json"))
     assert stored["terms"] == single_y
-    assert stored["spread"] == exchange_spread([t for t in expanded.terms if t.y_count == 1])
+    assert stored["spread"] == exchange_spread([t.value for t in expanded.terms if t.y_count == 1])
     assert (stored["qubits"], stored["shots"], stored["seed"]) == (qubits, 4096, 11)
 
 

@@ -1,7 +1,7 @@
 """The per-process memo of checked catalog entries and checked multinomial
-weights: a warm memo changes no report byte, draws exactly what
-``sample_shots`` draws, shares only read-only arrays, memoises nothing that
-fails its checks and stays within its bound."""
+weights: a warm memo changes no report byte, holds exactly the checked
+exact distribution of each circuit, shares only read-only arrays, memoises
+nothing that fails its checks and stays within its bound."""
 
 from __future__ import annotations
 
@@ -19,12 +19,11 @@ from merminsim import (
     outcome_probabilities,
     render_report,
     run_experiment,
-    sample_shots,
 )
 from merminsim import harness
 from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
 from merminsim.reference import device_results
-from merminsim.sampling import draw_shots
+from merminsim.sampling import checked_weights
 
 CELLS = [
     pytest.param(n, setup, expand, noise, id=f"{n}q-{setup.value}-{mode}-p{noise.p1}")
@@ -93,15 +92,15 @@ def _measured_circuits(noise: NoiseModel) -> set[tuple[int, float, str]]:
 
 @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.02, 0.02, 0.02)], ids=["clean", "p0.02"])
 def test_memoised_weights_draw_what_sample_shots_draws(noise):
-    # Pins report bytes to the documented composition without fixing numpy's draws.
+    # Pins report bytes to the documented composition without fixing numpy's
+    # draws: a row depends only on its weights and seed, and the memoised
+    # weights are checked_weights(outcome_probabilities(circuit, model)).
     circuits = _measured_circuits(noise)
     assert len(circuits) == 92  # distinct circuits; the three 3-qubit setups share theirs
     for n, phase, axes in sorted(circuits):
         circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
-        probs = outcome_probabilities(circuit, noise)
-        weights = _exact_distribution(n, phase, axes, noise)
-        for seed in (0, 12345, 2**62 + 1):
-            assert draw_shots(weights, 16384, seed).vector == sample_shots(probs, 16384, seed).vector
+        want = checked_weights(outcome_probabilities(circuit, noise))
+        assert np.array_equal(_exact_distribution(n, phase, axes, noise), want)
 
 
 @pytest.mark.parametrize(

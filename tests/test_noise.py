@@ -26,9 +26,11 @@ from merminsim import (
     run,
     run_exchange_test,
     run_experiment,
-    sample_shots,
+    setup_config,
 )
+from merminsim.harness import _exact_distribution
 from merminsim.pauli import mask_parity
+from merminsim.sampling import _PARITY_SIGNS, checked_weights, draw_counts
 
 
 def _measured_circuit(n: int, phase: float, axes: str) -> Circuit:
@@ -62,7 +64,7 @@ def _exact_value(config, model: NoiseModel, expanded: bool = False) -> float:
 
 def _noisy_shots(circuit: Circuit, model: NoiseModel, shots: int, seed: int) -> np.ndarray:
     """The harness's measurement: one multinomial draw from the exact distribution."""
-    return np.array(sample_shots(outcome_probabilities(circuit, model), shots, seed).vector)
+    return draw_counts([(checked_weights(outcome_probabilities(circuit, model)), seed)], shots)[0]
 
 
 def _symmetric(p: float) -> NoiseModel:
@@ -180,14 +182,14 @@ def test_full_readout_scrambling_is_uniform():
 
 def test_single_trajectory_zero_noise_support():
     counts = trajectory_counts(ghz_circuit(3, 0.0), NoiseModel(), 50, seed=7)
-    assert {i for i, c in enumerate(counts.vector) if c} == {0b000, 0b111}
+    assert set(np.flatnonzero(counts).tolist()) == {0b000, 0b111}
 
 
 def test_certain_readout_flip_inverts_bits():
     # Empty circuit leaves |00>; a certain readout flip reports "11".
     circuit = Circuit(2, ())
     model = NoiseModel(readout_flip=1.0)
-    assert trajectory_counts(circuit, model, 16, seed=0).vector == (0, 0, 0, 16)
+    assert trajectory_counts(circuit, model, 16, seed=0).tolist() == [0, 0, 0, 16]
     np.testing.assert_array_equal(outcome_probabilities(circuit, model), [0.0, 0.0, 0.0, 1.0])
 
 
@@ -221,7 +223,7 @@ def test_noisy_sampler_agrees_with_trajectory_oracle(n, phase, axes):
     table = np.stack(
         [
             _noisy_shots(circuit, model, 16384, seed=1),
-            trajectory_counts(circuit, model, 16384, seed=2).vector,
+            trajectory_counts(circuit, model, 16384, seed=2),
         ]
     )
     table = table[:, table.sum(axis=0) > 0]
@@ -283,3 +285,43 @@ def test_depolarizing_strength_degrades_violation_monotonically():
         pooled = np.hypot(sems[i], sems[i + 1])
         assert means[i] - means[i + 1] > 5 * pooled
     assert means[0] == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, setup, p",
+    [(n, s, 0.02) for n in (3, 4, 5) for s in ("mermin", "al")] + [(4, "al", 0.0)],
+    ids=lambda v: str(v),
+)
+def test_class_spread_is_chi2_with_the_true_variance_and_the_reported_bars_are_conservative(n, setup, p):
+    # Under a depolarizing model the m terms of a symmetry class share one
+    # exact value E, so over seeds sum_i (v_i - mean)^2 / sigma^2 follows
+    # chi2(m - 1) with the true variance sigma^2 = (1 - E^2)/N.  With each
+    # term's reported (plug-in) error in place of sigma its mean is
+    # (m - 1)(1 - E^2)/(1 - sum w^2), below m - 1 for these |E|.
+    noise = _symmetric(p)
+    runs = [
+        run_experiment(ExperimentConfig(qubits=n, setup=setup, seed=s, noise=noise, expand_permutations=True))
+        for s in range(1000)
+    ]
+    cfg = runs[0].config
+    phase = setup_config(n, cfg.setup).ghz_phase
+    values = np.array([[t.value for t in r.terms] for r in runs])
+    errors = np.array([[t.error for t in r.terms] for r in runs])
+    classes: dict[int, list[int]] = {}
+    for i, t in enumerate(runs[0].terms):
+        classes.setdefault(t.y_count, []).append(i)
+    classes = {y: members for y, members in classes.items() if len(members) >= 2}
+    assert classes
+    for y, members in classes.items():
+        m = len(members)
+        weights = [_exact_distribution(n, phase, runs[0].terms[i].axes, noise) for i in members]
+        exact = [float(w @ _PARITY_SIGNS[: w.size]) for w in weights]
+        assert max(exact) - min(exact) <= 1e-12, (y, exact)
+        e, sum_w2 = exact[0], float(weights[0] @ weights[0])
+        squares = (values[:, members] - values[:, members].mean(axis=1, keepdims=True)) ** 2
+        true_stat = squares.sum(axis=1) / ((1 - e * e) / cfg.shots)
+        assert stats.kstest(true_stat, stats.chi2(m - 1).cdf).pvalue > 1e-3, y
+        predicted = (m - 1) * (1 - e * e) / (1 - sum_w2)
+        assert predicted < m - 1, y
+        reported_stat = (squares / errors[:, members] ** 2).sum(axis=1)
+        assert reported_stat.mean() == pytest.approx(predicted, rel=0.1), y

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from merminsim import collapse, exchange_spread, setup_config, Estimate
+from merminsim import collapse, exchange_spread, setup_config
 from merminsim.reference import HEADLINE, MACHINES, device_results, exchange_results
 
 ALL_TABLES = [(3, "mermin"), (4, "mermin"), (4, "al"), (4, "al-mod"), (5, "mermin"), (5, "al"), (5, "al-mod")]
@@ -65,7 +65,7 @@ def test_exchange_table_spreads_match_published():
     assert table["columns"] == ["XXY", "XYX", "YXX"]
     for machine in MACHINES:
         row = table["rows"][machine]
-        spread = exchange_spread([Estimate(v, 0.0) for v in row["terms"]])
+        spread = exchange_spread(row["terms"])
         # Published spreads are displayed at 3 decimals from unrounded
         # inputs; allow one display unit of slack.
         assert abs(spread - row["spread"]) <= 0.001, (machine, spread)

@@ -5,8 +5,8 @@ reports were once written, with the per-cell fields taken straight from the
 catalog and the published tables; ``json.dumps`` of it is the reference text.
 The writer must give exactly those bytes for every catalog cell and for
 hand-built reports with unusual leaves.  A report whose terms are not its
-run's plan, or that holds a non-finite number, cannot be built, so no format
-writes one.
+run's plan, that holds a non-finite number, or whose verdict or four-party
+flag its run cannot state, cannot be built, so no format writes one.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def exchange_oracle(report: ExperimentReport) -> dict:
         "seed": cfg.seed,
         "noise": _noise(cfg.noise),
         "terms": [_term(t) for t in terms],
-        "spread": exchange_spread(terms),
+        "spread": exchange_spread([t.value for t in terms]),
         "published_reference": reference.exchange_results() if cfg.qubits == 3 else None,
     }
 
@@ -196,11 +196,36 @@ def test_terms_that_are_not_the_runs_plan_are_refused(edit):
 def test_hand_built_leaves_render_as_json_dumps_writes_them():
     report = _report()
     terms = _replace_term(report.terms, 0, value=1)
-    for edited in (
-        dataclasses.replace(report, value=4, error=np.float64(0.5), terms=terms),
-        dataclasses.replace(report, verdict={"b": [1, 2.5], "a": None}, genuine_fourparty=(True, "x")),
-    ):
-        assert render_report(edited, "json") == expected(edited)
+    edited = dataclasses.replace(report, value=4, error=np.float64(0.5), terms=terms)
+    assert render_report(edited, "json") == expected(edited)
+
+
+@pytest.mark.parametrize(
+    "qubits, setup, field, bad",
+    [
+        (3, "mermin", "verdict", "maybe"),
+        (3, "mermin", "verdict", {"b": [1, 2.5], "a": None}),
+        (3, "mermin", "verdict", None),
+        (3, "mermin", "genuine_fourparty", (True, "x")),
+        (3, "mermin", "genuine_fourparty", False),
+        (4, "mermin", "genuine_fourparty", True),
+        (4, "al", "genuine_fourparty", (True, "x")),
+        (4, "al", "genuine_fourparty", None),
+        (4, "al-mod", "genuine_fourparty", 1),
+        (4, "al-mod", "genuine_fourparty", np.True_),
+    ],
+    ids=[
+        "verdict-str", "verdict-dict", "verdict-none", "flag-tuple-3q", "flag-bool-3q", "flag-bool-4q-mermin",
+        "flag-tuple-4q-al", "flag-none-4q-al", "flag-int-4q-al-mod", "flag-numpy-bool-4q-al-mod",
+    ],
+)
+def test_a_report_refuses_a_verdict_or_flag_it_cannot_state(qubits, setup, field, bad):
+    # Each of these used to build and render (verdict **maybe** in markdown),
+    # and its JSON was then refused on reload: the one writer wrote what the
+    # one reader refuses.
+    report = _report(qubits, setup)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(report, **{field: bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])

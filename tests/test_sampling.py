@@ -8,77 +8,94 @@ import sys
 import threading
 import warnings
 from decimal import Decimal
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from conftest import string_keyed_expectation
 from merminsim import (
-    Estimate,
-    ShotCounts,
+    TermEstimate,
     collapse,
-    derive_seed,
     exchange_spread,
-    expectation_from_counts,
     mermin_direct,
     polynomial_estimate_expanded,
     round_error,
-    sample_shots,
 )
 from merminsim.sampling import (
     checked_weights,
     derive_seeds,
     draw_counts,
-    draw_shots,
     generator_state,
     parity_estimates,
     seed_label,
 )
 
 
+class _Measured(NamedTuple):
+    """A measurement as ``polynomial_estimate_expanded`` reads one."""
+
+    value: float
+    error: float
+
+
+def _draw(probs, shots, seed) -> np.ndarray:
+    """One measured circuit: the one row ``draw_counts`` draws from the
+    checked distribution."""
+    return draw_counts([(checked_weights(probs), seed)], shots)[0]
+
+
+def _estimate(counts) -> tuple[float, float]:
+    """``parity_estimates`` of a one-row count matrix."""
+    counts = np.array([counts], dtype=np.int64)
+    values, errors = parity_estimates(counts, int(counts.sum()))
+    return values[0], errors[0]
+
+
 def test_point_mass_sampling():
     probs = np.zeros(8)
     probs[0] = 1.0
-    counts = sample_shots(probs, 100, seed=0)
-    assert counts.vector == (100, 0, 0, 0, 0, 0, 0, 0)
-    assert counts.total == 100
+    counts = _draw(probs, 100, seed=0)
+    assert counts.tolist() == [100, 0, 0, 0, 0, 0, 0, 0]
+    assert counts.dtype == np.int64
 
 
 def test_sampling_is_deterministic_per_seed():
     probs = np.full(4, 0.25)
-    a = sample_shots(probs, 4096, seed=9)
-    b = sample_shots(probs, 4096, seed=9)
-    c = sample_shots(probs, 4096, seed=10)
-    assert a.vector == b.vector
-    assert a.vector != c.vector
+    a = _draw(probs, 4096, seed=9)
+    b = _draw(probs, 4096, seed=9)
+    c = _draw(probs, 4096, seed=10)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_binomial_concentration():
     # Fair coin at N = 16384: both counts within 5*sqrt(N/4) = 320 of N/2.
-    counts = sample_shots(np.array([0.5, 0.5]), 16384, seed=123)
-    for c in counts.vector:
+    counts = _draw(np.array([0.5, 0.5]), 16384, seed=123)
+    for c in counts:
         assert abs(c - 8192) <= 320
 
 
 def test_sample_shots_rejects_bad_distributions():
     with pytest.raises(ValueError):
-        sample_shots(np.array([0.5, 0.6]), 16, seed=0)
+        _draw(np.array([0.5, 0.6]), 16, seed=0)
     with pytest.raises(ValueError):
-        sample_shots(np.array([1.5, -0.5]), 16, seed=0)
+        _draw(np.array([1.5, -0.5]), 16, seed=0)
     with pytest.raises(ValueError):
-        sample_shots(np.full(4, 0.25), 0, seed=0)
+        _draw(np.full(4, 0.25), 0, seed=0)
 
 
 @pytest.mark.parametrize("shots", [1.5, True, 2**63, 0, "16"], ids=["float", "bool", "2**63", "zero", "str"])
 def test_sample_shots_rejects_a_shot_count_outside_int64(shots):
     # 1.5 and True used to draw one shot, and 2**63 escaped as numpy's OverflowError.
     with pytest.raises(ValueError, match="shots"):
-        sample_shots(np.full(4, 0.25), shots, seed=0)
+        _draw(np.full(4, 0.25), shots, seed=0)
 
 
 def test_sample_shots_takes_numpy_integer_shots_up_to_int64():
-    assert sample_shots(np.full(4, 0.25), np.int64(16), seed=0).total == 16
-    assert sample_shots(np.array([1.0, 0.0]), 2**63 - 1, seed=0).vector == (2**63 - 1, 0)
+    assert _draw(np.full(4, 0.25), np.int64(16), seed=0).sum() == 16
+    assert _draw(np.array([1.0, 0.0]), 2**63 - 1, seed=0).tolist() == [2**63 - 1, 0]
 
 
 @pytest.mark.parametrize(
@@ -92,10 +109,12 @@ def test_sample_shots_rejects_non_finite_probabilities(probs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
-            sample_shots(np.array(probs), 16, seed=0)
+            _draw(np.array(probs), 16, seed=0)
 
 
 def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
+    # Checked weights draw the rows their distribution draws, and a row of a
+    # batch is the row drawn alone.
     probs = np.array([0.5, -1e-13, 0.25, 0.25 + 1e-13])
     weights = checked_weights(probs)
     assert weights is not probs and probs.flags.writeable
@@ -103,39 +122,13 @@ def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
         weights[0] = 1.0
     assert weights[1] == 0.0 and np.array_equal(weights, np.clip(probs, 0.0, None) / probs.sum())
     for seed in (0, 1, 2**62):
-        assert draw_shots(weights, 4096, seed) == sample_shots(probs, 4096, seed)
+        assert np.array_equal(draw_counts([(weights, seed)], 4096)[0], _draw(probs, 4096, seed))
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        draw_shots(weights, 0, seed=0)
+        draw_counts([(weights, 0)], 0)
     rows = draw_counts([(weights, 0), (weights, 1), (weights, 0)], 4096)
     assert rows.dtype == np.int64 and rows.shape == (3, 4)
-    assert tuple(rows[1].tolist()) == draw_shots(weights, 4096, 1).vector
+    assert np.array_equal(rows[1], _draw(probs, 4096, 1))
     assert np.array_equal(rows[0], rows[2])
-
-
-def test_shot_counts_validation_and_round_trips():
-    counts = ShotCounts(2, (4, 0, 0, 6))
-    assert counts.total == 10
-    with pytest.raises(ValueError):
-        ShotCounts(2, (4, 0, 6))
-    with pytest.raises(ValueError):
-        ShotCounts(9, (1,) * 512)  # beyond MAX_QUBITS the parity table would truncate
-    with pytest.raises(ValueError):
-        ShotCounts(2, (4, 0, -1, 7))
-    # Counts are integers, as check_int reads them: numpy integers are
-    # accepted (and stored as ints), bools and floats are refused.
-    numpy_ints = ShotCounts(np.int64(1), (np.int64(3), np.uint8(1)))
-    assert numpy_ints == ShotCounts(1, (3, 1)) and all(type(c) is int for c in numpy_ints.vector)
-    for bad in [(1.5, True), (1.0, 1), (True, False), (2, 1.0), (np.float64(2.0), 1)]:
-        with pytest.raises(ValueError, match="count must be an integer"):
-            ShotCounts(1, bad)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        ShotCounts(True, (1, 1))
-    # The estimator divides by the total, which numpy's multinomial keeps
-    # within an int64.
-    for bad in [(0, 0), (2**63, 0), (2**62, 2**62)]:
-        with pytest.raises(ValueError, match="total"):
-            ShotCounts(1, bad)
-    assert ShotCounts(1, (2**63 - 2, 1)).total == 2**63 - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -145,9 +138,7 @@ def test_expectation_matches_string_keyed_oracle_bit_for_bit(n):
         vector = rng.integers(0, 50, size=2**n)
         vector[rng.random(2**n) < 0.4] = 0  # zero bins, as sparse histograms have
         vector[rng.integers(2**n)] += 1
-        counts = ShotCounts(n, tuple(vector.tolist()))
-        est = expectation_from_counts(counts)
-        assert (est.value, est.error) == string_keyed_expectation(counts)
+        assert _estimate(vector) == string_keyed_expectation(vector)
 
 
 @pytest.mark.parametrize("shots", [1, 16384, 2**53, 2**53 + 1, 2**63 - 1], ids=str)
@@ -167,39 +158,38 @@ def test_batch_estimates_match_the_oracle_bit_for_bit(n, shots):
     assert (counts.sum(axis=1) == shots).all()
     values, errors = parity_estimates(counts, shots)
     for row, value, error in zip(rows, values, errors):
-        assert (value, error) == string_keyed_expectation(ShotCounts(n, tuple(row.tolist())))
+        assert (value, error) == string_keyed_expectation(row)
 
 
 def test_expectation_from_balanced_ghz_counts():
     # Half the shots on 000 (parity +1), half on 111 (parity -1).
-    est = expectation_from_counts(ShotCounts(3, (8192, 0, 0, 0, 0, 0, 0, 8192)))
-    assert est.value == 0.0
+    value, error = _estimate([8192, 0, 0, 0, 0, 0, 0, 8192])
+    assert value == 0.0
     per_outcome = math.sqrt(0.25 / 16384)
     assert per_outcome == 0.00390625
-    np.testing.assert_allclose(est.error, math.sqrt(2) * per_outcome, atol=1e-15)
+    np.testing.assert_allclose(error, math.sqrt(2) * per_outcome, atol=1e-15)
 
 
 def test_expectation_from_point_mass_counts():
-    est = expectation_from_counts(ShotCounts(2, (16384, 0, 0, 0)))
-    assert est.value == 1.0
-    assert est.error == 0.0
+    assert _estimate([16384, 0, 0, 0]) == (1.0, 0.0)
 
 
 def test_expectation_always_within_physical_range():
     rng = np.random.default_rng(600)
     for _ in range(50):
         probs = rng.dirichlet(np.ones(8))
-        est = expectation_from_counts(sample_shots(probs, 512, seed=int(rng.integers(1 << 30))))
-        assert -1.0 <= est.value <= 1.0
-        assert est.error >= 0.0
+        value, error = _estimate(_draw(probs, 512, seed=int(rng.integers(1 << 30))))
+        assert -1.0 <= value <= 1.0
+        assert error >= 0.0
 
 
 def test_estimate_rejects_negative_error():
-    with pytest.raises(ValueError):
-        Estimate(0.5, -0.1)
+    # A report's terms are its estimates, and each refuses a negative error.
+    with pytest.raises(ValueError, match="term error must lie in"):
+        TermEstimate(1, "XXY", Fraction(1), 3, 0.5, -0.1, 0)
 
 
-def _class_estimate(poly, estimates: dict[int, Estimate]) -> Estimate:
+def _class_estimate(poly, estimates: dict[int, _Measured]) -> tuple[float, float]:
     """One estimate per symmetry class (keyed by its Y count), each weighted
     by coefficient * multiplicity, as a class-mode run combines them."""
     return polynomial_estimate_expanded(
@@ -210,22 +200,22 @@ def _class_estimate(poly, estimates: dict[int, Estimate]) -> Estimate:
 def test_three_qubit_polynomial_estimate_published_row():
     # Published three-qubit row: 3*(0.847) - (-0.799) = 3.34 with the
     # +-0.007 per-term column giving sqrt(10)*0.007 ~ 0.022, displayed 0.02.
-    est = _class_estimate(mermin_direct(3), {1: Estimate(0.847, 0.007), 3: Estimate(-0.799, 0.007)})
-    np.testing.assert_allclose(est.value, 3.340, atol=1e-12)
-    np.testing.assert_allclose(est.error, 0.007 * math.sqrt(10), atol=1e-15)
-    assert round_error(est.error) == pytest.approx(0.02, abs=1e-15)
+    value, error = _class_estimate(mermin_direct(3), {1: _Measured(0.847, 0.007), 3: _Measured(-0.799, 0.007)})
+    np.testing.assert_allclose(value, 3.340, atol=1e-12)
+    np.testing.assert_allclose(error, 0.007 * math.sqrt(10), atol=1e-15)
+    assert round_error(error) == pytest.approx(0.02, abs=1e-15)
 
 
 def test_five_qubit_polynomial_estimate_published_row():
     # Published five-qubit row: 5*(0.711) + 10*(0.622) + 0.554 = 10.329.
     # The displayed +-0.08 stems from the unrounded per-term errors
     # (~0.00756); feeding back the rounded 0.008 display value gives 0.090.
-    est = _class_estimate(
+    value, error = _class_estimate(
         mermin_direct(5),
-        {1: Estimate(0.711, 0.008), 3: Estimate(-0.622, 0.008), 5: Estimate(0.554, 0.008)},
+        {1: _Measured(0.711, 0.008), 3: _Measured(-0.622, 0.008), 5: _Measured(0.554, 0.008)},
     )
-    assert round(est.value, 2) == 10.33
-    np.testing.assert_allclose(est.error, 0.008 * math.sqrt(126), atol=1e-15)
+    assert round(value, 2) == 10.33
+    np.testing.assert_allclose(error, 0.008 * math.sqrt(126), atol=1e-15)
     # Per-term error for a uniform 16-outcome parity measurement at N=16384:
     true_per_term = math.sqrt(16 * (1 / 16) * (1 - 1 / 16) / 16384)
     assert round_error(true_per_term) == pytest.approx(0.008, abs=1e-15)
@@ -234,31 +224,31 @@ def test_five_qubit_polynomial_estimate_published_row():
 
 def test_polynomial_estimate_identity_on_single_class():
     cl = collapse(mermin_direct(3))[1]  # the Y=3 class, coefficient -1, multiplicity 1
-    combined = polynomial_estimate_expanded([(float(cl.coefficient) * cl.multiplicity, Estimate(0.7, 0.01))])
-    np.testing.assert_allclose(combined.value, -0.7, atol=1e-15)
-    np.testing.assert_allclose(combined.error, 0.01, atol=1e-15)
+    value, error = polynomial_estimate_expanded([(float(cl.coefficient) * cl.multiplicity, _Measured(0.7, 0.01))])
+    np.testing.assert_allclose(value, -0.7, atol=1e-15)
+    np.testing.assert_allclose(error, 0.01, atol=1e-15)
 
 
 def test_expanded_estimate_uses_independent_errors():
     # Independent per-term measurements add in quadrature term by term:
     # four terms with unit coefficients give error 2*delta, while the
     # collapsed shortcut with multiplicity 4 gives 4*delta.
-    parts = [(1.0, Estimate(0.9, 0.01)) for _ in range(4)]
-    est = polynomial_estimate_expanded(parts)
-    np.testing.assert_allclose(est.value, 3.6, atol=1e-12)
-    np.testing.assert_allclose(est.error, 0.02, atol=1e-15)
+    parts = [(1.0, _Measured(0.9, 0.01)) for _ in range(4)]
+    value, error = polynomial_estimate_expanded(parts)
+    np.testing.assert_allclose(value, 3.6, atol=1e-12)
+    np.testing.assert_allclose(error, 0.02, atol=1e-15)
 
 
 def test_exchange_spread_published_rows():
-    vigo = exchange_spread([Estimate(0.826, 0.0), Estimate(0.801, 0.0), Estimate(0.812, 0.0)])
-    essex = exchange_spread([Estimate(0.690, 0.0), Estimate(0.606, 0.0), Estimate(0.618, 0.0)])
+    vigo = exchange_spread([0.826, 0.801, 0.812])
+    essex = exchange_spread([0.690, 0.606, 0.618])
     # The Essex row reproduces the published 0.045 at display precision;
     # the Vigo row lands within one display unit of the published 0.012.
     assert round(essex, 3) == 0.045
     assert abs(vigo - 0.012) <= 0.001
-    assert exchange_spread([Estimate(0.5, 0.0)] * 3) == 0.0
+    assert exchange_spread([0.5] * 3) == 0.0
     with pytest.raises(ValueError):
-        exchange_spread([Estimate(0.5, 0.0)])
+        exchange_spread([0.5])
 
 
 @pytest.mark.parametrize(
@@ -299,18 +289,22 @@ def test_round_error_rejects_negative():
             round_error(bad)
 
 
+def _derive_seed(base, *parts) -> int:
+    return derive_seeds(base, [seed_label(*parts)])[0]
+
+
 def test_derive_seed_is_stable_and_context_sensitive():
-    a = derive_seed(7, "mermin", 3, "class", 1)
-    assert a == derive_seed(7, "mermin", 3, "class", 1)
-    assert a != derive_seed(7, "mermin", 3, "class", 3)
-    assert a != derive_seed(8, "mermin", 3, "class", 1)
+    a = _derive_seed(7, "mermin", 3, "class", 1)
+    assert a == _derive_seed(7, "mermin", 3, "class", 1)
+    assert a != _derive_seed(7, "mermin", 3, "class", 3)
+    assert a != _derive_seed(8, "mermin", 3, "class", 1)
     assert 0 <= a < 2**63
-    # The batch form hashes the base seed once and gives the same seeds.
+    # One call hashes the base seed once and gives each label the seed it gets alone.
     parts = [("mermin", 3, "class", 1), ("al", 4, "term", "XXYY"), ("exchange", 5, "XXXXY"), ()]
     for base in (7, -3, np.int64(2**62)):
-        want = [derive_seed(base, *p) for p in parts]
+        want = [_derive_seed(base, *p) for p in parts]
         assert derive_seeds(base, [seed_label(*p) for p in parts]) == want
-    assert derive_seed(0, "exchange", 3, "XXY") == int.from_bytes(
+    assert _derive_seed(0, "exchange", 3, "XXY") == int.from_bytes(
         hashlib.sha256("0\x1fexchange\x1f3\x1fXXY".encode()).digest()[:8], "little"
     ) >> 1
 
@@ -319,14 +313,14 @@ def test_derive_seed_is_stable_and_context_sensitive():
 def test_derive_seed_refuses_a_base_seed_that_is_not_an_integer(base):
     # 1.7 and True used to derive the seeds of base seed 1.
     with pytest.raises(ValueError, match="seed must be an integer"):
-        derive_seed(base, "a")
+        _derive_seed(base, "a")
     with pytest.raises(ValueError, match="seed must be an integer"):
         derive_seeds(base, [seed_label("a")])
 
 
 def test_generator_state_is_one_pinned_sha256_of_the_seed():
     # The seed derived from config seed 0 and the labels ("exchange", 3, "XXY").
-    seed = derive_seed(0, "exchange", 3, "XXY")
+    seed = _derive_seed(0, "exchange", 3, "XXY")
     state = generator_state(seed)
     assert state == {
         "bit_generator": "PCG64",
@@ -370,8 +364,8 @@ def test_a_negative_seed_is_refused():
     weights = checked_weights(np.full(4, 0.25))
     for draw in (
         lambda: draw_counts([(weights, 0), (weights, -1)], 16),
-        lambda: draw_shots(weights, 16, -1),
-        lambda: sample_shots(np.full(4, 0.25), 16, seed=-(2**63)),
+        lambda: draw_counts([(weights, -1)], 16),
+        lambda: _draw(np.full(4, 0.25), 16, seed=-(2**63)),
         lambda: generator_state(-1),
     ):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -388,7 +382,7 @@ def _recipe_row(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bit_generator).multinomial(shots, weights)
+    return np.random.RandomState(bit_generator).multinomial(shots, weights)
 
 
 def test_a_row_drawn_after_an_unrelated_call_is_the_recipes_row():
