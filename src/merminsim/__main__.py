@@ -1,3 +1,4 @@
-from .cli import main
+from .cli import console_main
 
-raise SystemExit(main())
+# console_main freezes the heap after the command, so exit skips the GC scan.
+raise SystemExit(console_main())

@@ -8,6 +8,7 @@ did not hold).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -153,5 +154,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """Process entry of ``python -m merminsim`` and the ``merminsim`` script.
+
+    It runs :func:`main` on ``sys.argv`` and then freezes the heap: the
+    process is about to end, and interpreter finalisation would otherwise run
+    full collections over the tens of thousands of long-lived objects that
+    numpy and the package leave behind.  :func:`main` itself never touches
+    the collector, so an in-process caller's heap stays collectable.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

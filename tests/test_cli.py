@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -104,6 +105,13 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``merminsim``."""
+    src = str(Path(merminsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
 def test_audit_commands_never_import_numpy_random():
     # A process that draws nothing stays light: verify and bounds recheck the
     # catalog without loading numpy's random module.
@@ -115,10 +123,58 @@ def test_audit_commands_never_import_numpy_random():
         "    assert cli.main(['bounds', '--qubits', '5', '--setup', 'al']) == 0\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
     )
-    src = str(Path(merminsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["run", "--qubits", "5", "--setup", "al-mod", "--noise", "0.01,0.01,0.01", "--expand-permutations",
+          "--shots", "2048"], 0),
+        (["run", "--qubits", "3", "--setup", "mermin", "--seed", "3", "--format", "csv"], 0),
+        (["run", "--qubits", "4", "--setup", "al", "--seed", "7", "--format", "md"], 0),
+        (["exchange-test", "--noise", "0.01,0.01,0.01", "--format", "md"], 0),
+        (["bounds", "--qubits", "5", "--setup", "al"], 0),
+        (["verify"], 0),
+        (["run", "--qubits", "3", "--setup", "mermin", "--shots", "0"], 1),
+    ],
+    ids=["run-json", "run-csv", "run-md", "exchange-md", "bounds", "verify", "shots-zero"],
+)
+def test_process_entry_prints_what_main_prints(argv, exit_code, capsys):
+    # ``python -m merminsim`` goes through ``console_main``, which freezes the
+    # heap before exit; that must not move a byte or an exit code.
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    done = _python("-m", "merminsim", *argv)
+    assert done.returncode == exit_code
+    assert done.stdout == captured.out.encode()
+    assert done.stderr.decode() == captured.err
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # A library caller's heap stays collectable: only the process entry freezes.
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["run", "--qubits", "3", "--setup", "mermin"], ["verify"], ["bogus-command"]):
+        main(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    capsys.readouterr()
+
+
+def test_process_entry_freezes_the_heap_before_exit():
+    # atexit handlers run after the entry returns and before finalisation's
+    # collections, so the probe sees what those collections would scan.
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['merminsim', 'bounds', '--qubits', '3', '--setup', 'mermin']\n"
+        "runpy.run_module('merminsim', run_name='__main__', alter_sys=True)\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+    assert b"verification: OK" in done.stdout
+    frozen = done.stderr.decode().split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0
 
 
 @pytest.mark.parametrize(
