@@ -27,10 +27,9 @@ from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_c
 from .circuits import measurement_transform, run, setup_config
 from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PauliString, exact_expectation
+from .pauli import PARITY_SIGNS, PauliString, exact_expectation
 from .polynomials import CHECK_TOL, EigencheckError, collapse, eigencheck
 from .sampling import (
-    _PARITY_SIGNS,
     check_int,
     check_real,
     check_shots,
@@ -46,7 +45,7 @@ from .sampling import (
 from .statevector import ghz_state, probabilities
 
 SCHEMA_VERSION = 1
-# Entries per memo below; all 18 cells at three noise levels need 276 distributions.
+# Entries per memo below; all 18 cells at three noise levels need 54 plans.
 _MEMO_SIZE = 1024
 
 VERDICT_VIOLATES = "VIOLATES_LR"
@@ -207,24 +206,20 @@ class ExperimentReport:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _exact_distribution(n: int, phase: float, axes: str, noise: NoiseModel) -> np.ndarray:
-    """Multinomial weights of GHZ(n, phase) measured along ``axes``: the exact
-    outcome distribution through ``checked_weights``, so it is checked once,
-    when it enters the memo, and every later run shares one read-only array.
-    A distribution that fails the checks raises and is not memoised."""
-    circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
-    return checked_weights(outcome_probabilities(circuit, noise))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def _plan_weights(
     n: int, phase: float, axes: tuple[str, ...], noise: NoiseModel
 ) -> tuple[np.ndarray, ...]:
-    """The ``_exact_distribution`` weights of every circuit of a run, in
-    plan order, so a warm run looks them up (and hashes its ``noise``) once.
-    A plan with a distribution that fails its checks raises and is not
-    memoised."""
-    return tuple(_exact_distribution(n, phase, a, noise) for a in axes)
+    """The multinomial weights of every circuit of a run, in plan order:
+    GHZ(n, phase) measured along each ``axes`` entry, its exact outcome
+    distribution through ``checked_weights``.  So each is checked once, when
+    its plan enters the memo, and a warm run looks them all up (and hashes
+    its ``noise``) once and shares read-only arrays.  A plan with a
+    distribution that fails its checks raises and is not memoised."""
+    ghz = ghz_circuit(n, phase)
+    return tuple(
+        checked_weights(outcome_probabilities(ghz.then(measurement_transform(PauliString.from_str(a))), noise))
+        for a in axes
+    )
 
 
 class _PlannedTerm(NamedTuple):
@@ -695,14 +690,14 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
             got = exact_expectation(state, PauliString.from_str(axes))
             want = math.cos(sc.ghz_phase - cl.y_count * math.pi / 2)
             worst = max(worst, abs(got - want))
-            closed_ok &= abs(got - want) <= 1e-10
+            closed_ok &= abs(got - want) <= CHECK_TOL
             circuit = ghz_circuit(n, sc.ghz_phase).then(
                 measurement_transform(PauliString.from_str(axes))
             )
             probs = probabilities(run(circuit))
-            parity = float(sum(p * s for p, s in zip(probs, _PARITY_SIGNS)))
+            parity = float(sum(p * s for p, s in zip(probs, PARITY_SIGNS)))
             worst = max(worst, abs(parity - got))
-            closed_ok &= abs(parity - got) <= 1e-10
+            closed_ok &= abs(parity - got) <= CHECK_TOL
         results.append(
             (
                 f"{n}q/{sc.setup.value} class expectations match cos(phase - Y*pi/2) and circuit parity",

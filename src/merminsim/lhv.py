@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import mask_parity
+from .pauli import PARITY_SIGNS
 from .statevector import MAX_QUBITS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +47,7 @@ def lr_bound_bruteforce(p: "MerminPolynomial") -> float:
     values = np.zeros((dim, dim))
     for coeff, s in p.terms:
         ym = s.y_mask
-        sx = 1.0 - 2.0 * mask_parity(idx, full ^ ym)
-        sy = 1.0 - 2.0 * mask_parity(idx, ym)
+        sx = PARITY_SIGNS[idx & (full ^ ym)]
+        sy = PARITY_SIGNS[idx & ym]
         values += float(coeff) * np.outer(sx, sy)
     return float(values.max())

@@ -20,12 +20,10 @@ _AXES = frozenset({"X", "Y"})
 # (-i)**Y by Y mod 4; exact complex constants, no powers at runtime.
 _Y_PHASE = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << MAX_QUBITS)], dtype=np.int64)
-
-
-def mask_parity(values: np.ndarray, mask: int) -> np.ndarray:
-    """popcount(values & mask) mod 2, elementwise."""
-    return _PARITY[values & mask]
+# (-1)**popcount(i) for every index i of up to MAX_QUBITS bits, read as
+# PARITY_SIGNS[values & mask] for the sign of each value's bits under mask.
+PARITY_SIGNS = np.array([(-1.0) ** bin(i).count("1") for i in range(1 << MAX_QUBITS)])
+PARITY_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
         raise ValueError(f"state has {state.n} qubits but string has {p.n}")
     dim = state.dim
     idx = np.arange(dim)
-    signs = 1 - 2 * mask_parity(idx, p.y_mask)
+    signs = PARITY_SIGNS[idx & p.y_mask]
     phase = _Y_PHASE[p.y_count % 4]
     new = state.amplitudes[idx ^ (dim - 1)] * (phase * signs)
     return Statevector(state.n, new)

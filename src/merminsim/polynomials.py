@@ -21,7 +21,7 @@ from .statevector import MAX_QUBITS, Statevector
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
-CHECK_TOL = 1e-9
+CHECK_TOL = 1e-10
 
 Term = tuple[Fraction, PauliString]
 

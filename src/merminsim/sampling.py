@@ -15,17 +15,14 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import sys
 import threading
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .pauli import mask_parity
-from .statevector import MAX_QUBITS
-
-# (-1)**popcount(i) for every outcome index i of up to MAX_QUBITS bits.
-_PARITY_SIGNS = 1.0 - 2.0 * mask_parity(np.arange(1 << MAX_QUBITS), (1 << MAX_QUBITS) - 1)
+from .pauli import PARITY_SIGNS
 
 
 def check_int(name: str, value: object, minimum: int | None = None) -> int:
@@ -41,11 +38,16 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
 
 
 def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
-    """``value`` as a plain float in [minimum, maximum]; bools, strings, nan and inf are rejected."""
+    """``value`` as a plain float in [minimum, maximum]; bools, strings, nan,
+    inf and ints past float range are rejected."""
     # The common case first; isfinite, since maximum may be inf.
     if type(value) is float and minimum <= value <= maximum and math.isfinite(value):
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past float range
+        real = False
+    if not real:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if not minimum <= value <= maximum:
         raise ValueError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
@@ -159,7 +161,7 @@ def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[
     spread = 1.0 - p_hat
     spread *= p_hat
     spread /= float(shots)
-    p_hat *= _PARITY_SIGNS[: p_hat.shape[1]]
+    p_hat *= PARITY_SIGNS[: p_hat.shape[1]]
     np.add.accumulate(p_hat, axis=1, out=p_hat)
     np.add.accumulate(spread, axis=1, out=spread)
     return p_hat[:, -1].tolist(), [math.sqrt(v) for v in spread[:, -1].tolist()]
@@ -190,21 +192,22 @@ def round_error(error: float) -> float:
     """Round an uncertainty to its first significant decimal digit (ties up):
     0.0221 -> 0.02, 0.0076 -> 0.008, 0.098 -> 0.1.  The result is the float
     nearest that one-digit decimal, so its repr has one significant digit
-    (0.3, never 0.30000000000000004).  A negative or non-finite error
-    raises ``ValueError``."""
+    (0.3, never 0.30000000000000004).  A negative, non-finite or subnormal
+    error, or one that rounds to inf, raises ``ValueError``."""
     error = check_real("error", error, 0.0)
     if error == 0.0:
         return 0.0
+    if error < sys.float_info.min:
+        raise ValueError(f"error must not be subnormal, got {error!r}")
     exponent = math.floor(math.log10(error))
     leading = math.floor(error / (10.0**exponent) + 0.5)
     if leading >= 10:
         leading = 1
         exponent += 1
-    # One correctly rounded operation on exact operands: 3 * 10.0**-1 would
-    # round twice and give 0.30000000000000004.
-    if exponent >= 0:
-        return leading * 10.0**exponent
-    return leading / 10.0**-exponent
+    rounded = float(f"{leading}e{exponent}")
+    if rounded == math.inf:
+        raise ValueError(f"error {error!r} rounds to inf")
+    return rounded
 
 
 def seed_label(*parts: object) -> bytes:

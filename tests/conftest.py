@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from merminsim import Circuit, Gate, NoiseModel
-from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
+from merminsim.harness import _checked_setup, _plan_weights
 
 
 @pytest.fixture(autouse=True)
@@ -25,7 +25,6 @@ def cold_memo():
     """Every test starts from an empty per-process memo, so no test is served
     a catalog entry or distribution built by another (or before a patch)."""
     _checked_setup.cache_clear()
-    _exact_distribution.cache_clear()
     _plan_weights.cache_clear()
 
 _I2 = np.eye(2, dtype=complex)

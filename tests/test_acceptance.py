@@ -41,7 +41,7 @@ from merminsim import (
     run_exchange_test,
     run_experiment,
 )
-from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
+from merminsim.harness import _checked_setup, _plan_weights
 from merminsim.sampling import checked_weights, draw_counts, parity_estimates
 
 SQRT2 = math.sqrt(2.0)
@@ -280,7 +280,6 @@ def test_criterion_9_deterministic_reports(verdict):
     for cfg in configs:
         renders = [render_report(run_experiment(cfg), "json") for _ in range(2)]
         _checked_setup.cache_clear()
-        _exact_distribution.cache_clear()
         _plan_weights.cache_clear()
         renders.append(render_report(run_experiment(cfg), "json"))
         if len(set(renders)) != 1:

@@ -21,9 +21,10 @@ from merminsim import (
     render_report,
     run_exchange_test,
     run_experiment,
+    setup_config,
     verify_invariants,
 )
-from merminsim.harness import RENDER_FORMATS, _checked_setup, _exact_distribution
+from merminsim.harness import RENDER_FORMATS, _checked_setup, _plan_weights, recheck_bounds
 
 
 @pytest.mark.parametrize("config", all_setup_configs(), ids=lambda c: f"{c.n}q-{c.setup.value}")
@@ -63,7 +64,7 @@ def test_config_validation():
         ExperimentConfig(qubits=3, setup="nope")
 
 
-@pytest.mark.parametrize("sigmas", [float("nan"), float("inf")])
+@pytest.mark.parametrize("sigmas", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "1e400"])
 def test_config_rejects_non_finite_violation_sigmas(sigmas):
     # nan fails every comparison, so a sign check alone would let it through.
     with pytest.raises(ValueError, match="violation_sigmas"):
@@ -389,7 +390,7 @@ def test_json_report_is_byte_identical_across_runs_and_workers():
     first = render_report(run_experiment(cfg), "json")
     second = render_report(run_experiment(cfg), "json")
     _checked_setup.cache_clear()
-    _exact_distribution.cache_clear()
+    _plan_weights.cache_clear()
     cold = render_report(run_experiment(cfg), "json")
     assert first == second
     assert first == cold
@@ -512,3 +513,13 @@ def test_verify_invariants_all_pass():
     assert len(rows) == 27
     for name, ok, detail in rows:
         assert ok, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("field", ["lr_bound", "qm_value"])
+def test_recheck_bounds_refuses_a_stored_bound_off_by_5e_10(field):
+    # The exact rechecks share one tolerance, 1e-10; the brute-force bound is
+    # exact and the eigenvalue residual ~1e-15, so 5e-10 is a real error.
+    sc = setup_config(4, Setup.AL)
+    poly = dataclasses.replace(sc.polynomial, **{field: getattr(sc.polynomial, field) + 5e-10})
+    rows = recheck_bounds(dataclasses.replace(sc, polynomial=poly))[0]
+    assert [ok for _, ok, _ in rows] == [field != "lr_bound", field != "qm_value"]

@@ -1,7 +1,8 @@
-"""The per-process memo of checked catalog entries and checked multinomial
-weights: a warm memo changes no report byte, holds exactly the checked
-exact distribution of each circuit, shares only read-only arrays, memoises
-nothing that fails its checks and stays within its bound."""
+"""The per-process memo of checked catalog entries and of each run plan's
+checked multinomial weights: a warm memo changes no report byte, holds
+exactly the checked exact distribution of each circuit, shares only
+read-only arrays, memoises nothing that fails its checks and stays within
+its bound."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from merminsim import (
     run_experiment,
 )
 from merminsim import harness
-from merminsim.harness import _checked_setup, _exact_distribution, _plan_weights
+from merminsim.harness import _checked_setup, _plan_weights
 from merminsim.reference import device_results
 from merminsim.sampling import checked_weights
 
@@ -43,17 +44,19 @@ def _json(n: int, setup: Setup, expand: bool, noise: NoiseModel) -> str:
 @pytest.mark.parametrize("n, setup, expand, noise", CELLS)
 def test_warm_memo_report_is_byte_identical_to_cold(n, setup, expand, noise):
     cold = _json(n, setup, expand, noise)
-    assert _exact_distribution.cache_info().currsize > 0
+    assert _plan_weights.cache_info().currsize > 0
     warm = _json(n, setup, expand, noise)
     assert _plan_weights.cache_info().hits > 0
     assert warm == cold
 
 
 def test_memoised_distribution_is_read_only():
-    probs = _exact_distribution(3, np.pi / 2, "XXY", NoiseModel(0.01, 0.01, 0.01))
-    with pytest.raises(ValueError):
-        probs[0] = 1.0
-    assert _exact_distribution(3, np.pi / 2, "XXY", NoiseModel(0.01, 0.01, 0.01)) is probs
+    weights = _plan_weights(3, np.pi / 2, ("XXX", "XXY"), NoiseModel(0.01, 0.01, 0.01))
+    assert isinstance(weights, tuple) and len(weights) == 2
+    for probs in weights:
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+    assert _plan_weights(3, np.pi / 2, ("XXX", "XXY"), NoiseModel(0.01, 0.01, 0.01)) is weights
 
 
 def test_checked_setup_entry_is_immutable_and_shared():
@@ -69,12 +72,12 @@ def test_checked_setup_entry_is_immutable_and_shared():
 
 
 def test_distribution_memo_stays_within_its_bound():
-    maxsize = _exact_distribution.cache_info().maxsize
-    assert maxsize is not None
+    maxsize = _plan_weights.cache_info().maxsize
+    assert maxsize == 1024
     for k in range(maxsize + 8):
-        _exact_distribution(3, np.pi / 2, "XXY", NoiseModel(k / (4 * maxsize)))
-        assert _exact_distribution.cache_info().currsize <= maxsize
-    assert _exact_distribution.cache_info().currsize == maxsize
+        _plan_weights(3, np.pi / 2, ("XXY",), NoiseModel(k / (4 * maxsize)))
+        assert _plan_weights.cache_info().currsize <= maxsize
+    assert _plan_weights.cache_info().currsize == maxsize
     assert _checked_setup.cache_info().maxsize is not None
 
 
@@ -100,7 +103,7 @@ def test_memoised_weights_draw_what_sample_shots_draws(noise):
     for n, phase, axes in sorted(circuits):
         circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
         want = checked_weights(outcome_probabilities(circuit, noise))
-        assert np.array_equal(_exact_distribution(n, phase, axes, noise), want)
+        assert np.array_equal(_plan_weights(n, phase, (axes,), noise)[0], want)
 
 
 @pytest.mark.parametrize(
@@ -108,11 +111,11 @@ def test_memoised_weights_draw_what_sample_shots_draws(noise):
 )
 def test_distribution_failing_its_checks_is_not_memoised(monkeypatch, bad):
     run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
-    size = _exact_distribution.cache_info().currsize
+    size = _plan_weights.cache_info().currsize
     monkeypatch.setattr(harness, "outcome_probabilities", lambda circuit, noise: bad.copy())
     cfg = ExperimentConfig(qubits=3, setup="mermin", noise=NoiseModel(0.01))
     with pytest.raises(ValueError, match="probability"):
         run_experiment(cfg)
-    assert _exact_distribution.cache_info().currsize == size
+    assert _plan_weights.cache_info().currsize == size
     monkeypatch.undo()
     assert run_experiment(cfg).config == cfg

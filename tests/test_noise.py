@@ -28,9 +28,9 @@ from merminsim import (
     run_experiment,
     setup_config,
 )
-from merminsim.harness import _exact_distribution
-from merminsim.pauli import mask_parity
-from merminsim.sampling import _PARITY_SIGNS, checked_weights, draw_counts
+from merminsim.harness import _plan_weights
+from merminsim.pauli import PARITY_SIGNS
+from merminsim.sampling import checked_weights, draw_counts
 
 
 def _measured_circuit(n: int, phase: float, axes: str) -> Circuit:
@@ -49,8 +49,7 @@ def _measured_terms(config, expanded: bool) -> list[tuple[float, str]]:
 
 
 def _parity_mean(probs: np.ndarray) -> float:
-    signs = 1 - 2 * mask_parity(np.arange(probs.size), probs.size - 1)
-    return float(probs @ signs)
+    return float(probs @ PARITY_SIGNS[: probs.size])
 
 
 def _exact_value(config, model: NoiseModel, expanded: bool = False) -> float:
@@ -101,7 +100,7 @@ def test_noise_model_dict_round_trip():
             ExperimentReport.from_dict(trimmed)
 
 
-@pytest.mark.parametrize("bad", [True, "0.1", float("nan")], ids=["bool", "str", "nan"])
+@pytest.mark.parametrize("bad", [True, "0.1", float("nan"), 10**400], ids=["bool", "str", "nan", "1e400"])
 @pytest.mark.parametrize("field", ["p1", "p2", "readout_flip"])
 def test_noise_model_rejects_non_real_fields(field, bad):
     # A bool would be reported as true and a string would fail with TypeError.
@@ -314,8 +313,8 @@ def test_class_spread_is_chi2_with_the_true_variance_and_the_reported_bars_are_c
     assert classes
     for y, members in classes.items():
         m = len(members)
-        weights = [_exact_distribution(n, phase, runs[0].terms[i].axes, noise) for i in members]
-        exact = [float(w @ _PARITY_SIGNS[: w.size]) for w in weights]
+        weights = _plan_weights(n, phase, tuple(runs[0].terms[i].axes for i in members), noise)
+        exact = [_parity_mean(w) for w in weights]
         assert max(exact) - min(exact) <= 1e-12, (y, exact)
         e, sum_w2 = exact[0], float(weights[0] @ weights[0])
         squares = (values[:, members] - values[:, members].mean(axis=1, keepdims=True)) ** 2

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import dense_pauli_matrix, random_state, random_symmetric_state
 from merminsim import PauliString, apply_pauli, exact_expectation, ghz_state
-from merminsim.statevector import Statevector
+from merminsim.pauli import PARITY_SIGNS
+from merminsim.statevector import MAX_QUBITS, Statevector
 
 
 def test_from_str_parses_axes():
@@ -33,6 +34,13 @@ def test_y_mask_matches_bit_convention():
     assert PauliString.from_str("YXX").y_mask == 4
     assert PauliString.from_str("XXY").y_mask == 1
     assert PauliString.from_str("YYY").y_mask == 7
+
+
+def test_parity_signs_are_minus_one_to_the_popcount():
+    assert PARITY_SIGNS.shape == (256,) == (1 << MAX_QUBITS,)
+    assert PARITY_SIGNS.dtype == np.float64 and not PARITY_SIGNS.flags.writeable
+    for i in range(256):
+        assert PARITY_SIGNS[i] == (-1) ** bin(i).count("1"), i
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

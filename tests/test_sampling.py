@@ -269,9 +269,10 @@ def test_round_error_first_significant_digit(raw, rounded):
     assert round_error(raw) == pytest.approx(rounded, abs=1e-15)
 
 
-@pytest.mark.parametrize("exponent", range(-6, 2))
+@pytest.mark.parametrize("exponent", range(-307, 308))
 def test_round_error_writes_one_significant_digit(exponent):
-    # leading * 10.0**exponent rounded twice: round_error(0.3) was 0.30000000000000004.
+    # leading * 10.0**exponent rounded twice: round_error(0.3) was 0.30000000000000004,
+    # and 10.0**exponent is itself inexact from |exponent| = 23 on.
     for leading in range(1, 10):
         want = float(f"{leading}e{exponent}")
         for raw in (want, want * 1.04, want * 0.96):
@@ -284,9 +285,15 @@ def test_round_error_rejects_negative():
     with pytest.raises(ValueError):
         round_error(-0.01)
     # Refused by the input check, not by a failed integer conversion inside.
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             round_error(bad)
+    # Subnormals overflowed or divided by zero inside; 1.7e308 rounds to 2e308.
+    for bad in (3e-310, 5e-324, 1e-308):
+        with pytest.raises(ValueError, match="subnormal"):
+            round_error(bad)
+    with pytest.raises(ValueError, match="inf"):
+        round_error(1.7e308)
 
 
 def _derive_seed(base, *parts) -> int:
