@@ -96,7 +96,8 @@ class ExperimentConfig:
 class TermEstimate:
     """One measured circuit: its class, coefficient, and estimate.  The
     value and error are read as finite floats (the error >= 0) and the seed
-    as an int; anything else raises ``ValueError``."""
+    as an int >= 0, a seed a draw can use; anything else raises
+    ``ValueError``."""
 
     y_count: int
     axes: str
@@ -109,7 +110,7 @@ class TermEstimate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", check_real("term value", self.value, -math.inf))
         object.__setattr__(self, "error", check_real("term error", self.error, 0.0))
-        object.__setattr__(self, "seed", check_int("term seed", self.seed))
+        object.__setattr__(self, "seed", check_int("term seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -274,19 +275,17 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
 
 class _Cell(NamedTuple):
     """A checked catalog entry and what every report of its cell shares.
-    ``plans``, ``md_heads`` and ``md_published`` are indexed by
-    ``expand_permutations`` (one circuit per symmetry class, or every term)."""
+    ``plans`` is indexed by ``expand_permutations`` (one circuit per symmetry
+    class, or every term)."""
 
     config: SetupConfig
     plans: tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]]
     # The stored text of a report's five per-cell fields (the lines between
     # ``genuine_fourparty`` and ``result``).
     text: str
-    # The markdown table's header and separator lines.
-    md_heads: tuple[tuple[str, str], tuple[str, str]]
-    # The markdown table's published rows: class mode only, and only when the
-    # table's columns are the plan's.
-    md_published: tuple[tuple[str, ...], tuple[str, ...]]
+    # The markdown table's published rows, whose columns are the class plan's:
+    # a class-mode table shows them, an expanded one does not.
+    md_published: tuple[str, ...]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -320,13 +319,11 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
         for cl in collapse(poly)
     )
     every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
-    plans = (by_class, every_term)
     return _Cell(
         sc,
-        plans,
+        (by_class, every_term),
         _dumps(cell)[2:-2],
-        tuple(_md_head(plan, "result") for plan in plans),
-        (_experiment_published(table, by_class), ()),
+        _md_published(table, lambda row: f"{row['result']:.2f} +/- {table['result_error']}"),
     )
 
 
@@ -411,9 +408,9 @@ def _exchange_view(
 # allow_nan=False) would write for it.  The writers below spell out the
 # per-run fields as templates whose keys are already sorted.  What a report
 # shares with its cell is written once per cell, into the catalog entry: the
-# per-cell text, each planned term's frames and the markdown table head and
-# published rows.  The published exchange table (three qubits only) is dumped
-# once, below.
+# per-cell text, each planned term's frames and the markdown table's published
+# rows.  The published exchange table (three qubits only) is dumped once,
+# below.
 
 
 def _dumps(value: object) -> str:
@@ -496,14 +493,6 @@ def _md_published(ref: dict | None, last: Callable[[dict], str]) -> tuple[str, .
         + f" | {last(row)} |"
         for machine, row in ref["rows"].items()
     )
-
-
-def _experiment_published(ref: dict, terms: Sequence[_PlannedTerm]) -> tuple[str, ...]:
-    """The published rows of a class-mode table, when its columns are the
-    published ones."""
-    if ref["columns"] != [t.axes for t in terms]:
-        return ()
-    return _md_published(ref, lambda row: f"{row['result']:.2f} +/- {ref['result_error']}")
 
 
 def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm]) -> str:
@@ -619,14 +608,15 @@ def _csv_lines(report: ExperimentReport) -> list[str]:
 def _md_lines(report: ExperimentReport) -> list[str]:
     cfg = report.config
     cell = _checked_setup(cfg.qubits, cfg.setup)
+    expanded = cfg.expand_permutations
     out = [
         f"# Mermin test: {cfg.qubits} qubits, setup {cfg.setup.value}",
         "",
-        _md_params(cfg) + f", expanded={cfg.expand_permutations}",
+        _md_params(cfg) + f", expanded={expanded}",
         "",
-        *cell.md_heads[cfg.expand_permutations],
+        *_md_head(cell.plans[expanded], "result"),
         _md_simulated(report.terms, _fmt_pm(report.value, report.error)),
-        *cell.md_published[cfg.expand_permutations],
+        *(() if expanded else cell.md_published),
         "",
         f"LR bound {cell.config.lr_bound}, QM value {cell.config.qm_value:.6f}, "
         f"verdict **{report.verdict}** "

@@ -84,7 +84,7 @@ def test_then_concatenates_circuits():
         a.then(Circuit(2, (Gate("H", (0,)),)))
 
 
-def test_permute_qubits_preserves_symmetric_ghz():
+def test_relabelling_qubits_preserves_symmetric_ghz():
     # Relabelling qubits transposes the (2,)*n amplitude tensor (qubit q is
     # axis q); the GHZ state is symmetric under every such relabelling.
     amp = run(ghz_circuit(4, np.pi / 2)).amplitudes

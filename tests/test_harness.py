@@ -285,6 +285,7 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         _set(("terms", 0, "extra"), 1),
         _set(("terms", 0, "error"), -0.1),
         _set(("result", "value"), 4),
+        _set(("terms", 0, "seed"), -5),
     ],
     ids=[
         "payload-list", "payload-none", "result-int", "terms-int", "terms-str", "term-int", "config-str",
@@ -298,7 +299,7 @@ def _set(path: tuple, value: object) -> Callable[[dict], dict]:
         "coefficient-unreduced", "reference-empty", "lr-bound-int", "reference-result-int",
         "reference-result-bool", "ghz-phase-shifted", "term-error-rounded-int", "result-error-rounded-str",
         "extra-key", "config-extra-key", "noise-extra-key", "term-extra-key", "term-error-negative",
-        "result-value-int",
+        "result-value-int", "term-seed-negative",
     ],
 )
 def test_report_from_dict_raises_value_error_for_any_wrong_shape(edit):
@@ -384,7 +385,7 @@ def test_report_rejects_unknown_schema_version():
         ExperimentReport.from_dict(payload)
 
 
-def test_json_report_is_byte_identical_across_runs_and_workers():
+def test_json_report_is_byte_identical_across_repeat_and_cold_runs():
     # Repeat runs on a warm memo and a run on a cold one render the same bytes.
     cfg = ExperimentConfig(qubits=5, setup="al", seed=42)
     first = render_report(run_experiment(cfg), "json")

@@ -62,11 +62,11 @@ def test_memoised_distribution_is_read_only():
 def test_checked_setup_entry_is_immutable_and_shared():
     entry = _checked_setup(4, Setup.AL)
     assert isinstance(entry, tuple) and entry.config.setup is Setup.AL
-    assert all(isinstance(field, tuple) for field in (entry.plans, entry.md_heads, entry.md_published))
+    assert all(isinstance(field, tuple) for field in (entry.plans, entry.md_published))
     assert all(isinstance(plan, tuple) for plan in entry.plans)
     assert entry.text.startswith('  "ghz_phase": ')
-    # Published rows are the class-mode table's only.
-    assert len(entry.md_published[False]) == len(device_results(4, "al")["rows"]) and entry.md_published[True] == ()
+    # Published rows are the class-mode table's, one per device.
+    assert len(entry.md_published) == len(device_results(4, "al")["rows"])
     assert _checked_setup(4, "al") is entry
     assert _checked_setup.cache_info().hits == 1
 

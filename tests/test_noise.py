@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,44 @@ def test_outcome_probabilities_match_dense_kraus_oracle(model):
                 atol=1e-12,
                 err_msg=f"{config.n}q/{config.setup.value} {a}",
             )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        NoiseModel(),
+        _symmetric(0.01),
+        _symmetric(0.03),
+        NoiseModel(0.02, 0.05, 0.01),
+        NoiseModel(0.1, 0.0, 0.04),
+        NoiseModel(0.0, 0.07, 0.0),
+    ],
+    ids=["clean", "p=0.01", "p=0.03", "asymmetric", "no-p2", "p2-only"],
+)
+def test_outcome_probabilities_match_the_closed_form(model):
+    # Pauli channels pass through the Clifford frame as scalars, so every
+    # planned circuit's distribution is (1 + (-1)^|o| E) / 2^n, with
+    # E = cos(phase - Y pi/2) l1^g1 l2^(2(n-1)) (1 - 2f)^n, l = 1 - 4p/3 and
+    # g1 = 1 + [phase != 0] + n + Y the circuit's one-qubit gate count.
+    circuits = {
+        (config.n, config.ghz_phase, a)
+        for config in all_setup_configs()
+        for expanded in (False, True)
+        for _, a in _measured_terms(config, expanded)
+    }
+    assert len(circuits) == 92  # the three 3-qubit setups share theirs
+    l1, l2, flip = 1 - 4 * model.p1 / 3, 1 - 4 * model.p2 / 3, 1 - 2 * model.readout_flip
+    for n, phase, axes in sorted(circuits):
+        y = axes.count("Y")
+        g1 = 1 + (phase != 0) + n + y
+        exact = math.cos(phase - y * math.pi / 2) * l1**g1 * l2 ** (2 * (n - 1)) * flip**n
+        np.testing.assert_allclose(
+            outcome_probabilities(_measured_circuit(n, phase, axes), model),
+            (1 + PARITY_SIGNS[: 2**n] * exact) / 2**n,
+            rtol=0,
+            atol=1e-12,
+            err_msg=f"{n}q phase {phase} {axes}",
+        )
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from merminsim import collapse, exchange_spread, setup_config
+from merminsim import all_setup_configs, collapse, exchange_spread, setup_config
+from merminsim.harness import _checked_setup
 from merminsim.reference import HEADLINE, MACHINES, device_results, exchange_results
 
 ALL_TABLES = [(3, "mermin"), (4, "mermin"), (4, "al"), (4, "al-mod"), (5, "mermin"), (5, "al"), (5, "al-mod")]
@@ -32,6 +33,14 @@ def test_published_rows_recombine_to_published_results(qubits, setup):
         # recombination can differ by at most the accumulated rounding.
         budget = 0.0005 * sum(abs(float(c.coefficient)) * c.multiplicity for c in classes) + 0.005
         assert abs(combined - row["result"]) <= budget + 1e-12, (machine, combined)
+
+
+@pytest.mark.parametrize("config", all_setup_configs(), ids=lambda c: f"{c.n}q-{c.setup.value}")
+def test_published_columns_are_the_class_plan_axes(config):
+    # A class-mode markdown table sets the published rows under its plan's
+    # columns, one per symmetry class.
+    plan = _checked_setup(config.n, config.setup).plans[False]
+    assert device_results(config.n, config.setup.value)["columns"] == [p.axes for p in plan]
 
 
 def test_three_qubit_table_is_shared_across_setups():

@@ -77,7 +77,7 @@ def test_binomial_concentration():
         assert abs(c - 8192) <= 320
 
 
-def test_sample_shots_rejects_bad_distributions():
+def test_draw_counts_rejects_bad_distributions():
     with pytest.raises(ValueError):
         _draw(np.array([0.5, 0.6]), 16, seed=0)
     with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ def test_sample_shots_rejects_a_shot_count_outside_int64(shots):
         _draw(np.full(4, 0.25), shots, seed=0)
 
 
-def test_sample_shots_takes_numpy_integer_shots_up_to_int64():
+def test_draw_counts_takes_numpy_integer_shots_up_to_int64():
     assert _draw(np.full(4, 0.25), np.int64(16), seed=0).sum() == 16
     assert _draw(np.array([1.0, 0.0]), 2**63 - 1, seed=0).tolist() == [2**63 - 1, 0]
 
@@ -112,7 +112,7 @@ def test_sample_shots_rejects_non_finite_probabilities(probs):
             _draw(np.array(probs), 16, seed=0)
 
 
-def test_checked_weights_are_a_read_only_copy_and_draw_like_sample_shots():
+def test_checked_weights_are_a_read_only_copy_and_draw_like_their_distribution():
     # Checked weights draw the rows their distribution draws, and a row of a
     # batch is the row drawn alone.
     probs = np.array([0.5, -1e-13, 0.25, 0.25 + 1e-13])
@@ -187,6 +187,12 @@ def test_estimate_rejects_negative_error():
     # A report's terms are its estimates, and each refuses a negative error.
     with pytest.raises(ValueError, match="term error must lie in"):
         TermEstimate(1, "XXY", Fraction(1), 3, 0.5, -0.1, 0)
+
+
+def test_term_estimate_rejects_a_negative_seed():
+    # generator_state refuses a negative seed, so no draw could have used one.
+    with pytest.raises(ValueError, match="term seed must be >= 0"):
+        TermEstimate(1, "XXY", Fraction(1), 3, 0.5, 0.1, -1)
 
 
 def _class_estimate(poly, estimates: dict[int, _Measured]) -> tuple[float, float]:
