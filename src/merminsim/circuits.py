@@ -4,24 +4,24 @@ qubit-count/setup combinations used by the harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .pauli import PauliString
 from .polynomials import MerminPolynomial, alsina_recursive, mermin_direct, primed
-from .statevector import Gate, Statevector, apply_gate_inplace, init_zero
+from .statevector import Gate, Record, Statevector, apply_gate_inplace, init_zero
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n: int
-    gates: tuple[Gate, ...]
+class Circuit(Record):
+    __slots__ = ("n", "gates")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.targets) >= self.n:
-                raise ValueError(f"gate {g.kind} targets {g.targets} but n={self.n}")
+    def __init__(self, n: int, gates: tuple[Gate, ...]) -> None:
+        gates = tuple(gates)
+        for g in gates:
+            if max(g.targets) >= n:
+                raise ValueError(f"gate {g.kind} targets {g.targets} but n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "_values", (n, gates))
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -71,15 +71,18 @@ class Setup(str, Enum):
     AL_MODIFIED = "al-mod"
 
 
-@dataclass(frozen=True)
-class SetupConfig:
+class SetupConfig(Record):
     """Everything one violation experiment needs: state phase, polynomial,
     and the two bounds it is judged against."""
 
-    n: int
-    setup: Setup
-    ghz_phase: float
-    polynomial: MerminPolynomial
+    __slots__ = ("n", "setup", "ghz_phase", "polynomial")
+
+    def __init__(self, n: int, setup: Setup, ghz_phase: float, polynomial: MerminPolynomial) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "ghz_phase", ghz_phase)
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "_values", (n, setup, ghz_phase, polynomial))
 
     @property
     def lr_bound(self) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -42,7 +41,7 @@ from .sampling import (
     polynomial_estimate_expanded,
     round_error,
 )
-from .statevector import ghz_state, probabilities
+from .statevector import Record, ghz_state, probabilities
 
 SCHEMA_VERSION = 1
 # Entries per memo below; all 18 cells at three noise levels need 54 plans.
@@ -66,55 +65,65 @@ def _mapping(d: dict, key: str) -> dict:
     return section
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    qubits: int
-    setup: Setup
-    shots: int = 16384
-    seed: int = 0
-    noise: NoiseModel = NoiseModel()
-    expand_permutations: bool = False
-    violation_sigmas: float = 3.0
+class ExperimentConfig(Record):
+    __slots__ = ("qubits", "setup", "shots", "seed", "noise", "expand_permutations", "violation_sigmas")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "setup", Setup(self.setup))
-        qubits = check_int("qubits", self.qubits)
+    def __init__(
+        self,
+        qubits: int,
+        setup: Setup,
+        shots: int = 16384,
+        seed: int = 0,
+        noise: NoiseModel = NoiseModel(),
+        expand_permutations: bool = False,
+        violation_sigmas: float = 3.0,
+    ) -> None:
+        setup = Setup(setup)
+        qubits = check_int("qubits", qubits)
         if qubits not in QUBIT_COUNTS:
             raise ValueError(f"qubits must be one of {QUBIT_COUNTS}, got {qubits}")
+        shots = check_shots(shots)
+        seed = check_int("seed", seed)
+        if not isinstance(noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
+        if not isinstance(expand_permutations, bool):
+            raise ValueError(f"expand_permutations must be a bool, got {expand_permutations!r}")
+        violation_sigmas = check_real("violation_sigmas", violation_sigmas, 0.0)
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "shots", check_shots(self.shots))
-        object.__setattr__(self, "seed", check_int("seed", self.seed))
-        if not isinstance(self.noise, NoiseModel):
-            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
-        if not isinstance(self.expand_permutations, bool):
-            raise ValueError(f"expand_permutations must be a bool, got {self.expand_permutations!r}")
-        sigmas = check_real("violation_sigmas", self.violation_sigmas, 0.0)
-        object.__setattr__(self, "violation_sigmas", sigmas)
+        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "expand_permutations", expand_permutations)
+        object.__setattr__(self, "violation_sigmas", violation_sigmas)
+        object.__setattr__(self, "_values", (qubits, setup, shots, seed, noise, expand_permutations, violation_sigmas))
 
 
-@dataclass(frozen=True)
-class TermEstimate:
+class TermEstimate(Record):
     """One measured circuit: its class, coefficient, and estimate.  The
     value and error are read as finite floats (the error >= 0) and the seed
     as an int >= 0, a seed a draw can use; anything else raises
     ``ValueError``."""
 
-    y_count: int
-    axes: str
-    coefficient: Fraction
-    multiplicity: int
-    value: float
-    error: float
-    seed: int
+    __slots__ = ("y_count", "axes", "coefficient", "multiplicity", "value", "error", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", check_real("term value", self.value, -math.inf))
-        object.__setattr__(self, "error", check_real("term error", self.error, 0.0))
-        object.__setattr__(self, "seed", check_int("term seed", self.seed, 0))
+    def __init__(
+        self, y_count: int, axes: str, coefficient: Fraction, multiplicity: int, value: float, error: float, seed: int
+    ) -> None:
+        value = check_real("term value", value, -math.inf)
+        error = check_real("term error", error, 0.0)
+        seed = check_int("term seed", seed, 0)
+        object.__setattr__(self, "y_count", y_count)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_values", (y_count, axes, coefficient, multiplicity, value, error, seed))
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     """What one run measured.  Its cell's polynomial, bounds, GHZ phase and
     published rows are the checked catalog entry's (``_checked_setup``).
     Its terms state its run's plan entries in order (axes, coefficient,
@@ -125,29 +134,39 @@ class ExperimentReport:
     claim (``_claims_fourparty``) and None on any other, is refused with
     ``ValueError`` when it is built."""
 
-    config: ExperimentConfig
-    terms: tuple[TermEstimate, ...]
-    value: float
-    error: float
-    verdict: str
-    genuine_fourparty: bool | None
+    __slots__ = ("config", "terms", "value", "error", "verdict", "genuine_fourparty")
 
-    def __post_init__(self) -> None:
-        plan = _plan(self.config)
-        if len(self.terms) != len(plan) or any(
-            (t.axes, t.coefficient, t.multiplicity, t.y_count) != p[:4] for t, p in zip(self.terms, plan)
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        terms: tuple[TermEstimate, ...],
+        value: float,
+        error: float,
+        verdict: str,
+        genuine_fourparty: bool | None,
+    ) -> None:
+        plan = _plan(config)
+        if len(terms) != len(plan) or any(
+            (t.axes, t.coefficient, t.multiplicity, t.y_count) != p[:4] for t, p in zip(terms, plan)
         ):
             raise ValueError(f"terms must state the run's {len(plan)} planned terms in order")
-        object.__setattr__(self, "value", check_real("result value", self.value, -math.inf))
-        object.__setattr__(self, "error", check_real("result error", self.error, 0.0))
-        if self.verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
-            raise ValueError(f"verdict must be {VERDICT_VIOLATES!r} or {VERDICT_CONSISTENT!r}, got {self.verdict!r}")
-        flag = self.genuine_fourparty
-        if _claims_fourparty(self.config):
+        value = check_real("result value", value, -math.inf)
+        error = check_real("result error", error, 0.0)
+        if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
+            raise ValueError(f"verdict must be {VERDICT_VIOLATES!r} or {VERDICT_CONSISTENT!r}, got {verdict!r}")
+        flag = genuine_fourparty
+        if _claims_fourparty(config):
             if type(flag) is not bool:
                 raise ValueError(f"genuine_fourparty must be a bool on a 4-qubit al or al-mod run, got {flag!r}")
         elif flag is not None:
             raise ValueError(f"genuine_fourparty must be None on a run without the four-party claim, got {flag!r}")
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "genuine_fourparty", genuine_fourparty)
+        object.__setattr__(self, "_values", (config, terms, value, error, verdict, genuine_fourparty))
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_report`` writes,

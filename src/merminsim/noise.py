@@ -10,26 +10,26 @@ exact outcome probabilities feed one multinomial draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuits import Circuit, run
 from .sampling import check_real
-from .statevector import Gate, apply_gate_inplace, probabilities
+from .statevector import Gate, Record, apply_gate_inplace, probabilities
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Depolarizing probabilities per touched qubit plus readout flip chance."""
 
-    p1: float = 0.0
-    p2: float = 0.0
-    readout_flip: float = 0.0
+    __slots__ = ("p1", "p2", "readout_flip")
 
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "readout_flip"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))
+    def __init__(self, p1: float = 0.0, p2: float = 0.0, readout_flip: float = 0.0) -> None:
+        p1 = check_real("p1", p1, 0.0, 1.0)
+        p2 = check_real("p2", p2, 0.0, 1.0)
+        readout_flip = check_real("readout_flip", readout_flip, 0.0, 1.0)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "readout_flip", readout_flip)
+        object.__setattr__(self, "_values", (p1, p2, readout_flip))
 
     @property
     def is_zero(self) -> bool:

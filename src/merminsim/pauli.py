@@ -9,11 +9,9 @@ positions of ``y_mask`` the amplitude picked up at index ``j`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .statevector import MAX_QUBITS, Statevector, qubit_bit
+from .statevector import MAX_QUBITS, Record, Statevector, qubit_bit
 
 _AXES = frozenset({"X", "Y"})
 
@@ -26,19 +24,20 @@ PARITY_SIGNS = np.array([(-1.0) ** bin(i).count("1") for i in range(1 << MAX_QUB
 PARITY_SIGNS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(Record):
     """A string over {X, Y}, one axis per qubit (no identity or Z factors)."""
 
-    axes: tuple[str, ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
-        if not 1 <= len(self.axes) <= MAX_QUBITS:
-            raise ValueError(f"need 1 to {MAX_QUBITS} factors, got {len(self.axes)}")
-        bad = [a for a in self.axes if a not in _AXES]
+    def __init__(self, axes: tuple[str, ...]) -> None:
+        axes = tuple(axes)
+        if not 1 <= len(axes) <= MAX_QUBITS:
+            raise ValueError(f"need 1 to {MAX_QUBITS} factors, got {len(axes)}")
+        bad = [a for a in axes if a not in _AXES]
         if bad:
             raise ValueError(f"axes must be 'X' or 'Y', got {bad}")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "_values", (axes,))
 
     @classmethod
     def from_str(cls, s: str) -> "PauliString":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .lhv import lr_bound_formula
 from .pauli import PauliString, apply_pauli
-from .statevector import MAX_QUBITS, Statevector
+from .statevector import MAX_QUBITS, Record, Statevector
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
@@ -34,34 +33,38 @@ class EigencheckError(ValueError):
         super().__init__(f"state is not an eigenvector: residual norm {residual:.3e}")
 
 
-@dataclass(frozen=True)
-class MerminPolynomial:
+class MerminPolynomial(Record):
     """Real-linear combination of X/Y Pauli strings with its two bounds.
 
     ``lr_bound`` is the maximum over local-realistic models and ``qm_value``
     the quantum maximum, both in the same normalization as ``terms``.
     """
 
-    n: int
-    terms: tuple[Term, ...]
-    lr_bound: float
-    qm_value: float
+    __slots__ = ("n", "terms", "lr_bound", "qm_value")
 
-    def __post_init__(self) -> None:
-        for coeff, s in self.terms:
+    def __init__(self, n: int, terms: tuple[Term, ...], lr_bound: float, qm_value: float) -> None:
+        for coeff, s in terms:
             if not isinstance(coeff, Fraction):
                 raise ValueError(f"coefficients must be Fraction, got {type(coeff)}")
-            if s.n != self.n:
-                raise ValueError(f"term {s} has {s.n} qubits, polynomial has {self.n}")
+            if s.n != n:
+                raise ValueError(f"term {s} has {s.n} qubits, polynomial has {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "lr_bound", lr_bound)
+        object.__setattr__(self, "qm_value", qm_value)
+        object.__setattr__(self, "_values", (n, terms, lr_bound, qm_value))
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(Record):
     """All terms sharing one Y count: per-term coefficient and how many."""
 
-    y_count: int
-    coefficient: Fraction
-    multiplicity: int
+    __slots__ = ("y_count", "coefficient", "multiplicity")
+
+    def __init__(self, y_count: int, coefficient: Fraction, multiplicity: int) -> None:
+        object.__setattr__(self, "y_count", y_count)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "_values", (y_count, coefficient, multiplicity))
 
 
 def _canonical_terms(by_axes: dict[tuple[str, ...], Fraction]) -> tuple[Term, ...]:

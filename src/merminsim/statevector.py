@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,49 +30,91 @@ def qubit_bit(n: int, q: int) -> int:
     return 1 << (n - 1 - q)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__slots__``.  Its ``__init__`` validates
+    the arguments, sets each field once with ``object.__setattr__`` and keeps
+    the field tuple as ``_values``, so equality, hashing, ``repr``, pickling
+    and ``_replace`` read one tuple.  Assignment and deletion raise
+    ``AttributeError``.
+    """
+
+    __slots__ = ("_values",)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
+
+    def _replace(self, **changes: object) -> "Record":
+        """A copy with ``changes``, built and validated by ``__init__``."""
+        return type(self)(**dict(zip(self.__slots__, self._values), **changes))
+
+
+class Gate(Record):
     """One gate: kind in {H, S, SDG, PHASE, CNOT}, targets, optional angle.
 
     CNOT targets are (control, target).  Only PHASE carries an angle.
     """
 
-    kind: str
-    targets: tuple[int, ...]
-    angle: float | None = None
+    __slots__ = ("kind", "targets", "angle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind == "CNOT" else 1
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} takes {arity} target(s), got {self.targets}")
-        if any(t < 0 for t in self.targets):
-            raise ValueError(f"negative qubit index in {self.targets}")
-        if self.kind == "CNOT" and self.targets[0] == self.targets[1]:
+    def __init__(self, kind: str, targets: tuple[int, ...], angle: float | None = None) -> None:
+        targets = tuple(int(t) for t in targets)
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity = 2 if kind == "CNOT" else 1
+        if len(targets) != arity:
+            raise ValueError(f"{kind} takes {arity} target(s), got {targets}")
+        if any(t < 0 for t in targets):
+            raise ValueError(f"negative qubit index in {targets}")
+        if kind == "CNOT" and targets[0] == targets[1]:
             raise ValueError("CNOT control and target must differ")
-        if self.kind == "PHASE":
-            if self.angle is None:
+        if kind == "PHASE":
+            if angle is None:
                 raise ValueError("PHASE requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} does not take an angle")
+            angle = float(angle)
+        elif angle is not None:
+            raise ValueError(f"{kind} does not take an angle")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "_values", (kind, targets, angle))
 
 
-@dataclass
 class Statevector:
-    """n-qubit pure state: 2**n complex amplitudes indexed MSB-first."""
+    """n-qubit pure state: 2**n complex amplitudes indexed MSB-first.
 
-    n: int
-    amplitudes: np.ndarray
+    A state is mutable and equals only itself; compare ``amplitudes`` (for
+    example with ``np.allclose``) to compare two states.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {self.n}")
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amp.shape}")
+    __slots__ = ("n", "amplitudes")
+
+    def __init__(self, n: int, amplitudes: np.ndarray) -> None:
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
+        amp = np.asarray(amplitudes, dtype=np.complex128)
+        if amp.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} amplitudes, got shape {amp.shape}")
+        self.n = n
         self.amplitudes = amp
 
     @property
@@ -128,7 +169,7 @@ def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
         a1 *= -1j
     elif gate.kind == "PHASE":
         a1 *= complex(math.cos(gate.angle), math.sin(gate.angle))
-    else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
+    else:  # pragma: no cover - Gate() rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import os
@@ -228,7 +227,7 @@ def test_non_finite_report_exits_one(monkeypatch, capsys):
     real = cli.run_experiment
 
     def nan_report(cfg):
-        return dataclasses.replace(real(cfg), value=float("nan"))
+        return real(cfg)._replace(value=float("nan"))
 
     monkeypatch.setattr(cli, "run_experiment", nan_report)
     assert main(["run", "--qubits", "3", "--setup", "mermin"]) == 1
@@ -244,9 +243,9 @@ def test_corrupted_catalog_entry_exits_two(field, monkeypatch, capsys):
     def corrupted(n, setup):
         sc = setup_config(n, setup)
         if field == "ghz_phase":
-            return dataclasses.replace(sc, ghz_phase=sc.ghz_phase + 0.3)
-        poly = dataclasses.replace(sc.polynomial, **{field: getattr(sc.polynomial, field) + 1})
-        return dataclasses.replace(sc, polynomial=poly)
+            return sc._replace(ghz_phase=sc.ghz_phase + 0.3)
+        poly = sc.polynomial._replace(**{field: getattr(sc.polynomial, field) + 1})
+        return sc._replace(polynomial=poly)
 
     monkeypatch.setattr(harness, "setup_config", corrupted)
     monkeypatch.setattr(cli, "setup_config", corrupted)

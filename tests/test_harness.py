@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from typing import Callable
@@ -177,7 +176,7 @@ def test_report_from_dict_names_a_missing_field(path):
 def test_json_render_rejects_non_finite_numbers():
     report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
     with pytest.raises(ValueError):
-        render_report(dataclasses.replace(report, value=float("nan")), "json")
+        render_report(report._replace(value=float("nan")), "json")
 
 
 def test_config_round_trip_and_string_setup_coercion():
@@ -521,6 +520,6 @@ def test_recheck_bounds_refuses_a_stored_bound_off_by_5e_10(field):
     # The exact rechecks share one tolerance, 1e-10; the brute-force bound is
     # exact and the eigenvalue residual ~1e-15, so 5e-10 is a real error.
     sc = setup_config(4, Setup.AL)
-    poly = dataclasses.replace(sc.polynomial, **{field: getattr(sc.polynomial, field) + 5e-10})
-    rows = recheck_bounds(dataclasses.replace(sc, polynomial=poly))[0]
+    poly = sc.polynomial._replace(**{field: getattr(sc.polynomial, field) + 5e-10})
+    rows = recheck_bounds(sc._replace(polynomial=poly))[0]
     assert [ok for _, ok, _ in rows] == [field != "lr_bound", field != "qm_value"]

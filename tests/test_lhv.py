@@ -7,13 +7,16 @@ import pytest
 
 from merminsim import (
     GENUINE_FOURPARTY_BOUND,
+    PauliString,
     all_setup_configs,
     alsina_recursive,
     lr_bound_bruteforce,
     lr_bound_formula,
     mermin_direct,
     primed,
+    setup_config,
 )
+from merminsim.harness import _checked_setup
 
 
 @pytest.mark.parametrize("n,expected", [(2, 2.0), (3, 2.0), (4, 4.0), (5, 4.0), (6, 8.0), (7, 8.0)])
@@ -70,3 +73,38 @@ def test_fourparty_threshold_constant():
     assert GENUINE_FOURPARTY_BOUND == 8.0
     # The threshold sits strictly between the LR bound and the quantum value.
     assert lr_bound_formula(4) < GENUINE_FOURPARTY_BOUND < 8 * np.sqrt(2)
+
+
+def _estimator_lhv_max(n: int, setup: str, expanded: bool) -> float:
+    """The LHV maximum of what a run estimates: its plan's terms, each
+    weighted by coefficient * multiplicity, as one polynomial."""
+    sc = setup_config(n, setup)
+    plan = _checked_setup(n, sc.setup).plans[expanded]
+    terms = tuple((p.coefficient * p.multiplicity, PauliString.from_str(p.axes)) for p in plan)
+    return lr_bound_bruteforce(sc.polynomial._replace(terms=terms))
+
+
+@pytest.mark.parametrize(
+    "n,setup,lr,class_max",
+    [
+        (3, "mermin", 2.0, 4.0),
+        (3, "al", 2.0, 4.0),
+        (3, "al-mod", 2.0, 4.0),
+        (4, "mermin", 4.0, 8.0),
+        (4, "al", 4.0, 16.0),
+        (4, "al-mod", 4.0, 16.0),
+        (5, "mermin", 4.0, 16.0),
+        (5, "al", 4.0, 16.0),
+        (5, "al-mod", 4.0, 16.0),
+    ],
+)
+def test_class_mode_estimator_exceeds_the_lr_bound_under_local_realism(n, setup, lr, class_max):
+    # A class-mode run measures one member per class and scales it by the
+    # class size, which equals the polynomial only if every member shares one
+    # expectation (exchange symmetry).  A local hidden-variable model need
+    # not, so the class-mode estimator reaches past the LR bound (at 4q al,
+    # past the four-party bound too); the expanded estimator is the
+    # polynomial, a Bell test whose LHV maximum is the LR bound.
+    assert setup_config(n, setup).lr_bound == lr
+    assert _estimator_lhv_max(n, setup, expanded=False) == class_max
+    assert _estimator_lhv_max(n, setup, expanded=True) == lr

@@ -3,7 +3,6 @@ trajectory oracle, and determinism."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -86,7 +85,7 @@ def _report_with_noise(model: NoiseModel) -> ExperimentReport:
     """A clean 3-qubit report whose config carries ``model``: the stored
     noise fields are written and read only as part of a report."""
     report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
-    return dataclasses.replace(report, config=dataclasses.replace(report.config, noise=model))
+    return report._replace(config=report.config._replace(noise=model))
 
 
 def test_noise_model_dict_round_trip():

@@ -11,7 +11,6 @@ flag its run cannot state, cannot be built, so no format writes one.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 from fractions import Fraction
@@ -136,12 +135,12 @@ def _with_distinct_terms(report: ExperimentReport) -> ExperimentReport:
     """The report with each term's axes and coefficient replaced by an equal
     but distinct object."""
     terms = tuple(
-        dataclasses.replace(
-            t, axes="".join(list(t.axes)), coefficient=Fraction(t.coefficient.numerator, t.coefficient.denominator)
+        t._replace(
+            axes="".join(list(t.axes)), coefficient=Fraction(t.coefficient.numerator, t.coefficient.denominator)
         )
         for t in report.terms
     )
-    return dataclasses.replace(report, terms=terms)
+    return report._replace(terms=terms)
 
 
 # A render reads every frame from the plan, so an equal copy of a report (with
@@ -171,7 +170,7 @@ def test_exchange_plan_frames_render_what_the_frame_builders_render(qubits):
 
 def _replace_term(terms, i: int, **changes) -> tuple:
     """``terms`` with term ``i`` changed."""
-    return terms[:i] + (dataclasses.replace(terms[i], **changes),) + terms[i + 1 :]
+    return terms[:i] + (terms[i]._replace(**changes),) + terms[i + 1 :]
 
 
 @pytest.mark.parametrize(
@@ -190,13 +189,13 @@ def test_terms_that_are_not_the_runs_plan_are_refused(edit):
     report = _report()
     assert report.terms[0].axes != report.terms[0].axes[::-1]
     with pytest.raises(ValueError, match="terms"):
-        dataclasses.replace(report, terms=edit(report.terms))
+        report._replace(terms=edit(report.terms))
 
 
 def test_hand_built_leaves_render_as_json_dumps_writes_them():
     report = _report()
     terms = _replace_term(report.terms, 0, value=1)
-    edited = dataclasses.replace(report, value=4, error=np.float64(0.5), terms=terms)
+    edited = report._replace(value=4, error=np.float64(0.5), terms=terms)
     assert render_report(edited, "json") == expected(edited)
 
 
@@ -225,7 +224,7 @@ def test_a_report_refuses_a_verdict_or_flag_it_cannot_state(qubits, setup, field
     # one reader refuses.
     report = _report(qubits, setup)
     with pytest.raises(ValueError, match=field):
-        dataclasses.replace(report, **{field: bad})
+        report._replace(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
@@ -235,10 +234,10 @@ def test_non_finite_term_value_raises_value_error(bad):
     report = run_exchange_test()
     i = [t.y_count for t in report.terms].index(1)
     edits = {
-        "term value": lambda: dataclasses.replace(report, terms=_replace_term(report.terms, i, value=bad)),
-        "term error": lambda: dataclasses.replace(report, terms=_replace_term(report.terms, i, error=bad)),
-        "result value": lambda: dataclasses.replace(report, value=bad),
-        "result error": lambda: dataclasses.replace(report, error=bad),
+        "term value": lambda: report._replace(terms=_replace_term(report.terms, i, value=bad)),
+        "term error": lambda: report._replace(terms=_replace_term(report.terms, i, error=bad)),
+        "result value": lambda: report._replace(value=bad),
+        "result error": lambda: report._replace(error=bad),
     }
     for name, edit in edits.items():
         for render in (render_report, render_exchange_report):
@@ -249,7 +248,7 @@ def test_non_finite_term_value_raises_value_error(bad):
 
 def test_numpy_float32_term_value_is_read_as_a_float():
     report = _report()
-    edited = dataclasses.replace(report, terms=_replace_term(report.terms, 0, value=np.float32(0.5)))
+    edited = report._replace(terms=_replace_term(report.terms, 0, value=np.float32(0.5)))
     assert type(edited.terms[0].value) is float and edited.terms[0].value == 0.5
     assert render_report(edited, "json") == expected(edited)
 
