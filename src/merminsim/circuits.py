@@ -3,11 +3,10 @@ qubit-count/setup combinations used by the harness."""
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .pauli import PauliString
-from .polynomials import MerminPolynomial, alsina_recursive, mermin_direct, primed
+from .polynomials import MerminPolynomial, alsina_recursive, mermin_direct, optimal_ghz_phase, primed
 from .statevector import Gate, Record, Statevector, apply_gate_inplace, init_zero
 
 
@@ -61,10 +60,9 @@ def run(c: Circuit) -> Statevector:
 
 
 class Setup(str, Enum):
-    """Measurement-setup families: MERMIN pairs the direct polynomial with a
-    pi/2 GHZ phase; AL pairs primed recursion polynomials with the historical
-    phases; AL_MODIFIED pairs unprimed ones with phases fixed to reach the
-    quantum maximum."""
+    """Measurement-setup families: MERMIN measures the direct polynomial, AL
+    the primed recursion polynomial and AL_MODIFIED the unprimed one.  Each
+    is read on the GHZ state at the polynomial's optimal phase."""
 
     MERMIN = "mermin"
     AL = "al"
@@ -93,27 +91,17 @@ class SetupConfig(Record):
         return self.polynomial.qm_value
 
 
-_PHASES: dict[tuple[int, Setup], float] = {
-    (3, Setup.MERMIN): math.pi / 2,
-    (3, Setup.AL): math.pi / 2,
-    (3, Setup.AL_MODIFIED): math.pi / 2,
-    (4, Setup.MERMIN): math.pi / 2,
-    (4, Setup.AL): -math.pi / 4,
-    (4, Setup.AL_MODIFIED): 3 * math.pi / 4,
-    (5, Setup.MERMIN): math.pi / 2,
-    (5, Setup.AL): 0.0,
-    (5, Setup.AL_MODIFIED): math.pi,
-}
-# The supported qubit counts and setup ids, as the catalog above lists them.
-QUBIT_COUNTS = tuple(sorted({n for n, _ in _PHASES}))
+# The supported qubit counts and setup ids.
+QUBIT_COUNTS = (3, 4, 5)
 SETUP_IDS = tuple(s.value for s in Setup)
 
 
 def setup_config(n: int, setup: Setup | str) -> SetupConfig:
-    """The nine supported (qubits, setup) combinations.  All three setup ids
-    coincide for n=3, where the recursion reproduces the direct polynomial."""
+    """The nine supported (qubits, setup) combinations at their optimal GHZ
+    phases.  All three setup ids coincide for n=3, where the recursion
+    reproduces the direct polynomial."""
     setup = Setup(setup)
-    if (n, setup) not in _PHASES:
+    if n not in QUBIT_COUNTS:
         raise ValueError(f"unsupported combination: {n} qubits, setup {setup.value!r}")
     if n == 3 or setup is Setup.MERMIN:
         poly = mermin_direct(n)
@@ -121,9 +109,9 @@ def setup_config(n: int, setup: Setup | str) -> SetupConfig:
         poly = primed(alsina_recursive(n))
     else:
         poly = alsina_recursive(n)
-    return SetupConfig(n, setup, _PHASES[(n, setup)], poly)
+    return SetupConfig(n, setup, optimal_ghz_phase(poly), poly)
 
 
 def all_setup_configs() -> list[SetupConfig]:
     """The full nine-entry catalog, ordered by qubit count then setup."""
-    return [setup_config(n, s) for n, s in _PHASES]
+    return [setup_config(n, s) for n in QUBIT_COUNTS for s in Setup]

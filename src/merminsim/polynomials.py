@@ -73,10 +73,39 @@ def _canonical_terms(by_axes: dict[tuple[str, ...], Fraction]) -> tuple[Term, ..
     return tuple((c, PauliString(axes)) for axes, c in items)
 
 
-def mermin_direct(n: int) -> MerminPolynomial:
-    """Mermin's operator: every string with an odd number of Y factors,
-    with coefficient (-1)**((Y-1)/2).  2**(n-1) terms; quantum maximum 2**(n-1).
+def ghz_coherence(terms: tuple[Term, ...]) -> complex:
+    """M[0,N], N = 2**n - 1: the entry coupling |0...0> to |1...1>.  As
+    <0|X|1> = 1 and <0|Y|1> = -i, it is the sum of coefficient * (-i)**Y.
+    On the GHZ state (|0...0> + e^{i phase}|1...1>)/sqrt(2) an X/Y polynomial
+    reads Re(e^{i phase} M[0,N]): at most |M[0,N]|, at phase -arg M[0,N].  The
+    polynomials built here have no other non-zero entry but M[N,0], so |M[0,N]|
+    is also their largest eigenvalue, the quantum value.  The float sum is
+    exact, as the coefficients are small dyadic rationals.
     """
+    return sum(float(c) * (1, -1j, -1, 1j)[s.y_count % 4] for c, s in terms)
+
+
+def optimal_ghz_phase(p: MerminPolynomial) -> float:
+    """The GHZ phase at which p reaches its quantum value, -arg M[0,N], as
+    k * pi / 4 with k in (-4, 4] (so pi, not -pi).  Raises ValueError if the
+    phase is no multiple of pi/4."""
+    z = ghz_coherence(p.terms)
+    angle = -math.atan2(z.imag, z.real)
+    k = round(angle * 4 / math.pi)
+    if abs(angle - k * math.pi / 4) > CHECK_TOL:
+        raise ValueError(f"optimal GHZ phase {angle} is not a multiple of pi/4")
+    return (4 if k == -4 else k) * math.pi / 4
+
+
+def _from_axes(n: int, by_axes: dict[tuple[str, ...], Fraction]) -> MerminPolynomial:
+    """The polynomial with its closed-form LR bound and QM value |M[0,N]|."""
+    terms = _canonical_terms(by_axes)
+    return MerminPolynomial(n, terms, lr_bound_formula(n), abs(ghz_coherence(terms)))
+
+
+def mermin_direct(n: int) -> MerminPolynomial:
+    """Mermin's operator: every string with an odd number of Y factors, with
+    coefficient (-1)**((Y-1)/2).  2**(n-1) terms; QM value |M[0,N]| = 2**(n-1)."""
     if not 3 <= n <= MAX_QUBITS:
         raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
     by_axes: dict[tuple[str, ...], Fraction] = {}
@@ -85,7 +114,7 @@ def mermin_direct(n: int) -> MerminPolynomial:
         for pos in combinations(range(n), y):
             axes = tuple("Y" if q in pos else "X" for q in range(n))
             by_axes[axes] = coeff
-    return MerminPolynomial(n, _canonical_terms(by_axes), lr_bound_formula(n), float(2 ** (n - 1)))
+    return _from_axes(n, by_axes)
 
 
 def alsina_recursive(n: int) -> MerminPolynomial:
@@ -98,9 +127,10 @@ def alsina_recursive(n: int) -> MerminPolynomial:
     the customary presentations: identical to mermin_direct at n=3, per-class
     coefficients (-1,+1,+1,-1,-1) at n=4, and (-1,+1,-1) on Y=(0,2,4) at n=5
     (the conventional halving of the raw 5-qubit output is absorbed here).
+    Quantum value |M[0,N]| (ghz_coherence): 2**(n-1), times sqrt(2) at even n.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
+    if not 3 <= n <= MAX_QUBITS:
+        raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
     terms: dict[tuple[str, ...], Fraction] = {("X",): Fraction(1)}
     for _ in range(n - 1):
         swapped = {tuple("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
@@ -113,13 +143,7 @@ def alsina_recursive(n: int) -> MerminPolynomial:
             grown[ax + ("Y",)] -= c / 2
         terms = {ax: c for ax, c in grown.items() if c != 0}
     scale = Fraction(2 ** (n // 2))
-    by_axes = {ax: c * scale for ax, c in terms.items()}
-    if n % 2 == 0:
-        qm = float(2 ** (n - 1)) * math.sqrt(2.0)
-    else:
-        qm = float(2 ** (n - 1))
-    lr = 1.0 if n == 1 else lr_bound_formula(n)
-    return MerminPolynomial(n, _canonical_terms(by_axes), lr, qm)
+    return _from_axes(n, {ax: c * scale for ax, c in terms.items()})
 
 
 def primed(p: MerminPolynomial) -> MerminPolynomial:

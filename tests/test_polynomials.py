@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_state
+from conftest import dense_pauli_matrix, random_symmetric_state
 from merminsim import (
     EigencheckError,
     ExperimentConfig,
@@ -21,11 +22,13 @@ from merminsim import (
     exact_expectation,
     ghz_state,
     init_zero,
+    lr_bound_bruteforce,
     mermin_direct,
     primed,
     run_experiment,
 )
-from merminsim.statevector import Statevector
+from merminsim.polynomials import CHECK_TOL, ghz_coherence, optimal_ghz_phase
+from merminsim.statevector import MAX_QUBITS, Statevector
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -182,8 +185,40 @@ def test_polynomial_serialization_round_trip():
             ExperimentReport.from_dict(payload)
 
 
-def test_qm_values_follow_parity_rule():
-    for n in (3, 5):
-        assert alsina_recursive(n).qm_value == 2 ** (n - 1)
-    for n in (4, 6):
-        np.testing.assert_allclose(alsina_recursive(n).qm_value, 2 ** (n - 1) * SQRT2)
+def test_ghz_coherence_gives_every_builders_phase_and_bounds():
+    # For every builder at n = 3..8: the GHZ state at the derived phase is an
+    # eigenvector with the derived QM value as eigenvalue; that value is the
+    # largest eigenvalue, as the dense operator has no non-zero entry but
+    # M[0,N] and M[N,0]; it follows the parity rule, 2**(n-1), times sqrt(2)
+    # for the even-n recursion; and the closed-form LR bound is brute force's.
+    builders = {
+        "direct": mermin_direct,
+        "recursive": alsina_recursive,
+        "primed": lambda n: primed(alsina_recursive(n)),
+    }
+    for n in range(3, MAX_QUBITS + 1):
+        for name, build in builders.items():
+            poly = build(n)
+            phase = optimal_ghz_phase(poly)
+            assert abs(eigencheck(poly, ghz_state(n, phase)) - poly.qm_value) <= CHECK_TOL, (name, n)
+            rule = float(2 ** (n - 1)) * (SQRT2 if name != "direct" and n % 2 == 0 else 1.0)
+            assert poly.qm_value == rule, (name, n)
+            dense = sum(float(c) * dense_pauli_matrix(str(s)) for c, s in poly.terms)
+            assert np.flatnonzero(dense).tolist() == [(1 << n) - 1, ((1 << n) - 1) << n], (name, n)
+            assert dense[0, -1] == ghz_coherence(poly.terms), (name, n)
+            assert abs(np.linalg.eigvalsh(dense)[-1] - poly.qm_value) <= CHECK_TOL, (name, n)
+            assert lr_bound_bruteforce(poly) == poly.lr_bound, (name, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_builders_reject_fewer_than_three_qubits(n):
+    for build in (mermin_direct, alsina_recursive):
+        with pytest.raises(ValueError, match="need 3 <= n"):
+            build(n)
+
+
+def test_optimal_ghz_phase_rejects_a_phase_off_the_pi_over_4_grid():
+    # M[0,N] = 1 - 2i has an argument that is no multiple of pi/4.
+    terms = ((Fraction(1), PauliString.from_str("XXX")), (Fraction(2), PauliString.from_str("XXY")))
+    with pytest.raises(ValueError, match="not a multiple of pi/4"):
+        optimal_ghz_phase(MerminPolynomial(3, terms, lr_bound=3.0, qm_value=math.sqrt(5.0)))

@@ -8,10 +8,10 @@ of the displayed precision.  This guards the transcription, not the devices.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from merminsim import all_setup_configs, collapse, exchange_spread, setup_config
+from merminsim.circuits import SETUP_IDS
 from merminsim.harness import _checked_setup
 from merminsim.reference import HEADLINE, MACHINES, device_results, exchange_results
 
@@ -81,10 +81,14 @@ def test_exchange_table_spreads_match_published():
 
 
 def test_headline_families():
-    assert set(HEADLINE) == {"3", "4", "4-mermin", "5"}
-    np.testing.assert_allclose(HEADLINE["4"]["qm"], 8 * np.sqrt(2), atol=1e-12)
-    for family in HEADLINE.values():
-        value, error = family["best"]
-        assert value > family["lr"]
-        assert value < family["qm"]
+    # Each family's best value lies between the catalog's bounds for its cell,
+    # and it is one of the published results at its qubit count.
+    cells = {"3": (3, "mermin"), "4": (4, "al"), "4-mermin": (4, "mermin"), "5": (5, "mermin")}
+    assert set(HEADLINE) == set(cells)
+    for family, (n, setup) in cells.items():
+        value, error = HEADLINE[family]["best"]
+        sc = setup_config(n, setup)
+        assert sc.lr_bound < value < sc.qm_value
         assert 0 < error < 0.1
+        published = {row["result"] for s in SETUP_IDS for row in device_results(n, s)["rows"].values()}
+        assert value in published, family
