@@ -18,9 +18,7 @@ class Circuit(Record):
         for g in gates:
             if max(g.targets) >= n:
                 raise ValueError(f"gate {g.kind} targets {g.targets} but n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "_values", (n, gates))
+        self._set(n, gates)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -76,11 +74,7 @@ class SetupConfig(Record):
     __slots__ = ("n", "setup", "ghz_phase", "polynomial")
 
     def __init__(self, n: int, setup: Setup, ghz_phase: float, polynomial: MerminPolynomial) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "setup", setup)
-        object.__setattr__(self, "ghz_phase", ghz_phase)
-        object.__setattr__(self, "polynomial", polynomial)
-        object.__setattr__(self, "_values", (n, setup, ghz_phase, polynomial))
+        self._set(n, setup, ghz_phase, polynomial)
 
     @property
     def lr_bound(self) -> float:

@@ -29,8 +29,6 @@ from .noise import NoiseModel, outcome_probabilities
 from .pauli import PARITY_SIGNS, PauliString, exact_expectation
 from .polynomials import CHECK_TOL, EigencheckError, collapse, eigencheck
 from .sampling import (
-    check_int,
-    check_real,
     check_shots,
     checked_weights,
     derive_seeds,
@@ -41,7 +39,7 @@ from .sampling import (
     polynomial_estimate_expanded,
     round_error,
 )
-from .statevector import Record, ghz_state, probabilities
+from .statevector import Record, check_int, check_real, ghz_state, probabilities
 
 SCHEMA_VERSION = 1
 # Entries per memo below; all 18 cells at three noise levels need 54 plans.
@@ -89,14 +87,7 @@ class ExperimentConfig(Record):
         if not isinstance(expand_permutations, bool):
             raise ValueError(f"expand_permutations must be a bool, got {expand_permutations!r}")
         violation_sigmas = check_real("violation_sigmas", violation_sigmas, 0.0)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "setup", setup)
-        object.__setattr__(self, "shots", shots)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "expand_permutations", expand_permutations)
-        object.__setattr__(self, "violation_sigmas", violation_sigmas)
-        object.__setattr__(self, "_values", (qubits, setup, shots, seed, noise, expand_permutations, violation_sigmas))
+        self._set(qubits, setup, shots, seed, noise, expand_permutations, violation_sigmas)
 
 
 class TermEstimate(Record):
@@ -113,14 +104,7 @@ class TermEstimate(Record):
         value = check_real("term value", value, -math.inf)
         error = check_real("term error", error, 0.0)
         seed = check_int("term seed", seed, 0)
-        object.__setattr__(self, "y_count", y_count)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error", error)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_values", (y_count, axes, coefficient, multiplicity, value, error, seed))
+        self._set(y_count, axes, coefficient, multiplicity, value, error, seed)
 
 
 class ExperimentReport(Record):
@@ -146,6 +130,7 @@ class ExperimentReport(Record):
         genuine_fourparty: bool | None,
     ) -> None:
         plan = _plan(config)
+        terms = tuple(terms)
         if len(terms) != len(plan) or any(
             (t.axes, t.coefficient, t.multiplicity, t.y_count) != p[:4] for t, p in zip(terms, plan)
         ):
@@ -160,13 +145,7 @@ class ExperimentReport(Record):
                 raise ValueError(f"genuine_fourparty must be a bool on a 4-qubit al or al-mod run, got {flag!r}")
         elif flag is not None:
             raise ValueError(f"genuine_fourparty must be None on a run without the four-party claim, got {flag!r}")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error", error)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "genuine_fourparty", genuine_fourparty)
-        object.__setattr__(self, "_values", (config, terms, value, error, verdict, genuine_fourparty))
+        self._set(config, terms, value, error, verdict, genuine_fourparty)
 
     def to_dict(self) -> dict:
         """The stored report as data: the JSON text ``render_report`` writes,

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit, run
-from .sampling import check_real
-from .statevector import Gate, Record, apply_gate_inplace, probabilities
+from .statevector import Gate, Record, apply_gate_inplace, check_real, probabilities
 
 
 class NoiseModel(Record):
@@ -26,10 +25,7 @@ class NoiseModel(Record):
         p1 = check_real("p1", p1, 0.0, 1.0)
         p2 = check_real("p2", p2, 0.0, 1.0)
         readout_flip = check_real("readout_flip", readout_flip, 0.0, 1.0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "readout_flip", readout_flip)
-        object.__setattr__(self, "_values", (p1, p2, readout_flip))
+        self._set(p1, p2, readout_flip)
 
     @property
     def is_zero(self) -> bool:

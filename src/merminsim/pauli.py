@@ -36,8 +36,7 @@ class PauliString(Record):
         bad = [a for a in axes if a not in _AXES]
         if bad:
             raise ValueError(f"axes must be 'X' or 'Y', got {bad}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "_values", (axes,))
+        self._set(axes)
 
     @classmethod
     def from_str(cls, s: str) -> "PauliString":

@@ -43,16 +43,13 @@ class MerminPolynomial(Record):
     __slots__ = ("n", "terms", "lr_bound", "qm_value")
 
     def __init__(self, n: int, terms: tuple[Term, ...], lr_bound: float, qm_value: float) -> None:
+        terms = tuple(terms)
         for coeff, s in terms:
             if not isinstance(coeff, Fraction):
                 raise ValueError(f"coefficients must be Fraction, got {type(coeff)}")
             if s.n != n:
                 raise ValueError(f"term {s} has {s.n} qubits, polynomial has {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "lr_bound", lr_bound)
-        object.__setattr__(self, "qm_value", qm_value)
-        object.__setattr__(self, "_values", (n, terms, lr_bound, qm_value))
+        self._set(n, terms, lr_bound, qm_value)
 
 
 class SymmetryClass(Record):
@@ -61,10 +58,7 @@ class SymmetryClass(Record):
     __slots__ = ("y_count", "coefficient", "multiplicity")
 
     def __init__(self, y_count: int, coefficient: Fraction, multiplicity: int) -> None:
-        object.__setattr__(self, "y_count", y_count)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "_values", (y_count, coefficient, multiplicity))
+        self._set(y_count, coefficient, multiplicity)
 
 
 def _canonical_terms(by_axes: dict[tuple[str, ...], Fraction]) -> tuple[Term, ...]:

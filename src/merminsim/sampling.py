@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import sys
 import threading
 from fractions import Fraction
@@ -23,35 +22,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .pauli import PARITY_SIGNS
-
-
-def check_int(name: str, value: object, minimum: int | None = None) -> int:
-    """``value`` as a plain int; bools and floats (even integral ones) are
-    rejected, numpy integers are accepted."""
-    if type(value) is int and (minimum is None or value >= minimum):
-        return value  # the common case, before the slower ABC checks
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
-    """``value`` as a plain float in [minimum, maximum]; bools, strings, nan,
-    inf and ints past float range are rejected."""
-    # The common case first; isfinite, since maximum may be inf.
-    if type(value) is float and minimum <= value <= maximum and math.isfinite(value):
-        return value
-    try:
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int past float range
-        real = False
-    if not real:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    if not minimum <= value <= maximum:
-        raise ValueError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
-    return float(value)
+from .statevector import check_int, check_real
 
 
 def check_shots(shots: object) -> int:

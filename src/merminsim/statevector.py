@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -30,17 +31,63 @@ def qubit_bit(n: int, q: int) -> int:
     return 1 << (n - 1 - q)
 
 
+def check_int(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as a plain int; bools and floats (even integral ones) are
+    rejected, numpy integers are accepted."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value  # the common case, before the slower ABC checks
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
+    """``value`` as a plain float in [minimum, maximum]; bools, strings, nan,
+    inf and ints past float range are rejected."""
+    # The common case first; isfinite, since maximum may be inf.
+    if type(value) is float and minimum <= value <= maximum and math.isfinite(value):
+        return value
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past float range
+        real = False
+    if not real:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if not minimum <= value <= maximum:
+        raise ValueError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
+    return float(value)
+
+
 class Record:
     """Base of the package's immutable value records.
 
-    A subclass names its fields in ``__slots__``.  Its ``__init__`` validates
-    the arguments, sets each field once with ``object.__setattr__`` and keeps
-    the field tuple as ``_values``, so equality, hashing, ``repr``, pickling
-    and ``_replace`` read one tuple.  Assignment and deletion raise
-    ``AttributeError``.
+    A subclass names its fields once, in ``__slots__``.  Its ``__init__``
+    validates the arguments and ends with one ``_set`` call, which sets the
+    fields in ``__slots__`` order and keeps them as the tuple ``_values``, so
+    equality, hashing, ``repr``, pickling and ``_replace`` read one tuple.
+    Assignment and deletion raise ``AttributeError``.
     """
 
     __slots__ = ("_values",)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each field's slot setter, looked up once per class, not per build.
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def _set(self, *values: object) -> None:
+        """Set the fields to ``values`` in ``__slots__`` order and keep them
+        as ``_values``; a count other than the number of fields raises
+        ``ValueError``."""
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{type(self).__qualname__} has {len(setters)} fields, got {len(values)} values")
+        # Indexing is faster here than unpacking zip pairs.
+        for i, setter in enumerate(setters):
+            setter(self, values[i])
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,26 +124,21 @@ class Gate(Record):
     __slots__ = ("kind", "targets", "angle")
 
     def __init__(self, kind: str, targets: tuple[int, ...], angle: float | None = None) -> None:
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(check_int("gate target", t, 0) for t in targets)
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         arity = 2 if kind == "CNOT" else 1
         if len(targets) != arity:
             raise ValueError(f"{kind} takes {arity} target(s), got {targets}")
-        if any(t < 0 for t in targets):
-            raise ValueError(f"negative qubit index in {targets}")
         if kind == "CNOT" and targets[0] == targets[1]:
             raise ValueError("CNOT control and target must differ")
         if kind == "PHASE":
             if angle is None:
                 raise ValueError("PHASE requires an angle")
-            angle = float(angle)
+            angle = check_real("PHASE angle", angle, -math.inf)
         elif angle is not None:
             raise ValueError(f"{kind} does not take an angle")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "_values", (kind, targets, angle))
+        self._set(kind, targets, angle)
 
 
 class Statevector:

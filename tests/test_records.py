@@ -25,6 +25,7 @@ from merminsim import (
     run_experiment,
     setup_config,
 )
+from merminsim.statevector import Record
 
 
 def _report():
@@ -80,11 +81,47 @@ def test_replace_changes_only_the_named_fields():
         NoiseModel()._replace(p3=0.5)
 
 
-def test_no_package_class_is_a_dataclass():
+def _package_classes() -> set[type]:
+    """Every class a merminsim module defines or imports."""
     names = [m.name for m in pkgutil.iter_modules(merminsim.__path__) if m.name != "__main__"]
     modules = [importlib.import_module(f"merminsim.{name}") for name in names]
-    classes = [c for mod in modules for _, c in inspect.getmembers(mod, inspect.isclass)]
+    return {c for mod in modules for _, c in inspect.getmembers(mod, inspect.isclass)}
+
+
+def test_no_package_class_is_a_dataclass():
+    classes = _package_classes()
     assert classes and not [c for c in classes if hasattr(c, "__dataclass_fields__")]
+
+
+def test_every_record_class_is_in_records():
+    # A new Record subclass must join RECORDS, so the contract test runs on it.
+    records = {c for c in _package_classes() if issubclass(c, Record) and c is not Record}
+    assert {type(param.values[0]()) for param in RECORDS} == records
+
+
+def test_set_takes_one_value_per_field():
+    gate = Gate("H", (0,))
+    for values in (("S", (1,)), ("S", (1,), None, None)):
+        with pytest.raises(ValueError):
+            gate._set(*values)
+    assert gate == Gate("H", (0,)) and gate.kind == "H"
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ghz_circuit(3), "gates"),
+        (lambda: mermin_direct(3), "terms"),
+        (_report, "terms"),
+    ],
+    ids=["Circuit", "MerminPolynomial", "ExperimentReport"],
+)
+def test_sequence_fields_are_stored_as_tuples(make, field):
+    # A list would leave the record unequal to its source and unhashable.
+    record = make()
+    copy = record._replace(**{field: list(getattr(record, field))})
+    assert type(getattr(copy, field)) is tuple
+    assert copy == record and hash(copy) == hash(record)
 
 
 def test_states_compare_by_identity():

@@ -164,6 +164,37 @@ def test_gate_validation():
         Gate("X", (0,))
 
 
+@pytest.mark.parametrize(
+    "kind, targets, angle",
+    [
+        ("H", (0.7,), None),  # int() would truncate it to qubit 0
+        ("H", (1.0,), None),
+        ("H", ("1",), None),
+        ("H", (True,), None),
+        ("H", (-1,), None),
+        ("CNOT", (0, np.float64(1.0)), None),
+        ("PHASE", (0,), float("nan")),
+        ("PHASE", (0,), float("inf")),
+        ("PHASE", (0,), "0.5"),
+        ("PHASE", (0,), True),
+        ("PHASE", (0,), 1j),
+    ],
+    ids=["float", "integral-float", "str", "bool", "negative", "numpy-float", "nan", "inf", "str-angle",
+         "bool-angle", "complex-angle"],
+)
+def test_gate_refuses_non_integer_targets_and_non_finite_angles(kind, targets, angle):
+    with pytest.raises(ValueError):
+        Gate(kind, targets, angle)
+
+
+def test_gate_reads_numpy_numbers_as_plain_ones():
+    gate = Gate("CNOT", (np.int64(0), np.int32(2)))
+    assert gate.targets == (0, 2) and all(type(t) is int for t in gate.targets)
+    phase = Gate("PHASE", (np.uint8(1),), np.float64(0.5))
+    assert phase == Gate("PHASE", (1,), 0.5) and type(phase.angle) is float
+    assert Gate("PHASE", (0,), 1).angle == 1.0
+
+
 def test_inplace_kernel_handles_batched_amplitudes():
     # The same kernel drives (dim,) states and the rows of (dim, dim) density
     # matrices; applying a gate to a batch must equal row-by-row application.
