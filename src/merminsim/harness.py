@@ -63,6 +63,11 @@ def _mapping(d: dict, key: str) -> dict:
     return section
 
 
+# Each setup id's member: ExperimentConfig looks a plain str id up here and
+# sends anything else through Setup(), whose errors it keeps.
+_SETUP_BY_ID = {s.value: s for s in Setup}
+
+
 class ExperimentConfig(Record):
     __slots__ = ("qubits", "setup", "shots", "seed", "noise", "expand_permutations", "violation_sigmas")
 
@@ -76,7 +81,8 @@ class ExperimentConfig(Record):
         expand_permutations: bool = False,
         violation_sigmas: float = 3.0,
     ) -> None:
-        setup = Setup(setup)
+        member = _SETUP_BY_ID.get(setup) if type(setup) is str else None
+        setup = member if member is not None else Setup(setup)
         qubits = check_int("qubits", qubits)
         if qubits not in QUBIT_COUNTS:
             raise ValueError(f"qubits must be one of {QUBIT_COUNTS}, got {qubits}")
@@ -91,16 +97,23 @@ class ExperimentConfig(Record):
 
 
 class TermEstimate(Record):
-    """One measured circuit: its class, coefficient, and estimate.  The
-    value and error are read as finite floats (the error >= 0) and the seed
-    as an int >= 0, a seed a draw can use; anything else raises
-    ``ValueError``."""
+    """One measured circuit: its class, coefficient, and estimate.  The Y
+    count is read as an int >= 0 and the multiplicity as an int >= 1, the
+    axes must be a str and the coefficient a Fraction, the value and error
+    are read as finite floats (the error >= 0) and the seed as an int >= 0,
+    a seed a draw can use; anything else raises ``ValueError``."""
 
     __slots__ = ("y_count", "axes", "coefficient", "multiplicity", "value", "error", "seed")
 
     def __init__(
         self, y_count: int, axes: str, coefficient: Fraction, multiplicity: int, value: float, error: float, seed: int
     ) -> None:
+        y_count = check_int("term y_count", y_count, 0)
+        if not isinstance(axes, str):
+            raise ValueError(f"term axes must be a str, got {axes!r}")
+        if not isinstance(coefficient, Fraction):
+            raise ValueError(f"term coefficient must be a Fraction, got {coefficient!r}")
+        multiplicity = check_int("term multiplicity", multiplicity, 1)
         value = check_real("term value", value, -math.inf)
         error = check_real("term error", error, 0.0)
         seed = check_int("term seed", seed, 0)
@@ -129,12 +142,10 @@ class ExperimentReport(Record):
         verdict: str,
         genuine_fourparty: bool | None,
     ) -> None:
-        plan = _plan(config)
+        stated = _checked_setup(config.qubits, config.setup).modes[config.expand_permutations].stated
         terms = tuple(terms)
-        if len(terms) != len(plan) or any(
-            (t.axes, t.coefficient, t.multiplicity, t.y_count) != p[:4] for t, p in zip(terms, plan)
-        ):
-            raise ValueError(f"terms must state the run's {len(plan)} planned terms in order")
+        if tuple([(t.y_count, t.axes, t.coefficient, t.multiplicity) for t in terms]) != stated:
+            raise ValueError(f"terms must state the run's {len(stated)} planned terms in order")
         value = check_real("result value", value, -math.inf)
         error = check_real("result error", error, 0.0)
         if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
@@ -271,13 +282,37 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
     return rows, brute, lam
 
 
+class _Mode(NamedTuple):
+    """One mode's term plan and what every run of it reads from the plan, in
+    plan order: the seed labels, the measured axes (the ``_plan_weights``
+    key), the polynomial weights, and what each report term states, as
+    ``TermEstimate``'s first four fields (Y count, axes, coefficient,
+    multiplicity)."""
+
+    plan: tuple[_PlannedTerm, ...]
+    labels: tuple[bytes, ...]
+    axes: tuple[str, ...]
+    weights: tuple[float, ...]
+    stated: tuple[tuple[int, str, Fraction, int], ...]
+
+
+def _mode(plan: tuple[_PlannedTerm, ...]) -> _Mode:
+    return _Mode(
+        plan,
+        tuple(p.label for p in plan),
+        tuple(p.axes for p in plan),
+        tuple(p.weight for p in plan),
+        tuple((p.y_count, p.axes, p.coefficient, p.multiplicity) for p in plan),
+    )
+
+
 class _Cell(NamedTuple):
     """A checked catalog entry and what every report of its cell shares.
-    ``plans`` is indexed by ``expand_permutations`` (one circuit per symmetry
+    ``modes`` is indexed by ``expand_permutations`` (one circuit per symmetry
     class, or every term)."""
 
     config: SetupConfig
-    plans: tuple[tuple[_PlannedTerm, ...], tuple[_PlannedTerm, ...]]
+    modes: tuple[_Mode, _Mode]
     # The stored text of a report's five per-cell fields (the lines between
     # ``genuine_fourparty`` and ``result``).
     text: str
@@ -319,7 +354,7 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
     every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
     return _Cell(
         sc,
-        (by_class, every_term),
+        (_mode(by_class), _mode(every_term)),
         _dumps(cell)[2:-2],
         _md_published(table, lambda row: f"{row['result']:.2f} +/- {table['result_error']}"),
     )
@@ -332,33 +367,32 @@ def _claims_fourparty(cfg: ExperimentConfig) -> bool:
 
 def _plan(cfg: ExperimentConfig) -> tuple[_PlannedTerm, ...]:
     """The term plan of a run: the circuits it measures, in order."""
-    return _checked_setup(cfg.qubits, cfg.setup).plans[cfg.expand_permutations]
+    return _checked_setup(cfg.qubits, cfg.setup).modes[cfg.expand_permutations].plan
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one full violation test.
 
-    The checked catalog entry (with each mode's term plan) and each
-    circuit's checked multinomial weights are memoised per process, so a
-    later run of the cell only derives seeds, draws shots, estimates the
-    count matrix and builds the report.
+    The checked catalog entry (with each mode's term plan, seed labels,
+    axes, polynomial weights and stated terms) and each circuit's checked
+    multinomial weights are memoised per process, so a later run of the
+    cell only derives seeds, draws shots, estimates the count matrix and
+    builds the report.
     Every circuit owns a seed derived from (config seed, setup, class), so
     the report is byte-identical for a cold or warm memo.
     """
     cell = _checked_setup(cfg.qubits, cfg.setup)
-    sc, plan = cell.config, cell.plans[cfg.expand_permutations]
+    sc = cell.config
+    _, labels, axes, weights, stated = cell.modes[cfg.expand_permutations]
     # Each planned term's seed derives from the config seed and its label; its
-    # shots are drawn from the memoised weights (the exact distribution,
-    # checked once when it entered the memo), and the run's count matrix is
-    # estimated in one pass.
-    seeds = derive_seeds(cfg.seed, [p.label for p in plan])
-    weights = _plan_weights(cfg.qubits, sc.ghz_phase, tuple([p.axes for p in plan]), cfg.noise)
-    values, errors = parity_estimates(draw_counts(zip(weights, seeds), cfg.shots), cfg.shots)
-    terms = tuple(
-        TermEstimate(p.y_count, p.axes, p.coefficient, p.multiplicity, v, e, s)
-        for p, v, e, s in zip(plan, values, errors, seeds)
-    )
-    value, error = polynomial_estimate_expanded([(p.weight, t) for p, t in zip(plan, terms)])
+    # shots are drawn from the memoised multinomial weights (the exact
+    # distribution, checked once when it entered the memo), and the run's
+    # count matrix is estimated in one pass.
+    seeds = derive_seeds(cfg.seed, labels)
+    probs = _plan_weights(cfg.qubits, sc.ghz_phase, axes, cfg.noise)
+    values, errors = parity_estimates(draw_counts(zip(probs, seeds), cfg.shots), cfg.shots)
+    terms = tuple(TermEstimate(*term, v, e, s) for term, v, e, s in zip(stated, values, errors, seeds))
+    value, error = polynomial_estimate_expanded(zip(weights, terms))
 
     # Both claims hold only with violation_sigmas standard errors to spare.
     lower = value - cfg.violation_sigmas * error
@@ -404,11 +438,14 @@ def _exchange_view(
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
 # allow_nan=False) would write for it.  The writers below spell out the
-# per-run fields as templates whose keys are already sorted.  What a report
-# shares with its cell is written once per cell, into the catalog entry: the
-# per-cell text, each planned term's frames and the markdown table's published
-# rows.  The published exchange table (three qubits only) is dumped once,
-# below.
+# per-run fields as templates whose keys are already sorted.  A number that a
+# record's constructor read as a plain int or finite float (``check_int``,
+# ``check_real``, ``round_error``) is written as its ``repr``, which is what
+# ``_json`` returns for it; every other per-run value goes through ``_json``.
+# What a report shares with its cell is written once per cell, into the catalog
+# entry: the per-cell text, each planned term's frames and the markdown table's
+# published rows.  The published exchange table (three qubits only) is dumped
+# once, below.
 
 
 def _dumps(value: object) -> str:
@@ -496,9 +533,8 @@ def _md_published(ref: dict | None, last: Callable[[dict], str]) -> tuple[str, .
 def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm]) -> str:
     """The stored ``terms`` list, written into the frames of their ``plan``
     entries."""
-    j = _json
     return "[\n" + ",\n".join(
-        f"{a}{j(t.error, 3)}{b}{j(round_error(t.error), 3)}{c}{j(t.seed, 3)}{d}{j(t.value, 3)}{e}"
+        f"{a}{t.error!r}{b}{round_error(t.error)!r}{c}{t.seed!r}{d}{t.value!r}{e}"
         for t, (a, b, c, d, e) in zip(terms, (p.json_frame for p in plan))
     ) + "\n  ]"
 
@@ -511,25 +547,25 @@ def _experiment_json(report: ExperimentReport) -> str:
   "config": {{
     "expand_permutations": {j(cfg.expand_permutations, 2)},
     "noise": {{
-      "p1": {j(noise.p1, 3)},
-      "p2": {j(noise.p2, 3)},
-      "readout_flip": {j(noise.readout_flip, 3)}
+      "p1": {noise.p1!r},
+      "p2": {noise.p2!r},
+      "readout_flip": {noise.readout_flip!r}
     }},
-    "qubits": {j(cfg.qubits, 2)},
-    "seed": {j(cfg.seed, 2)},
+    "qubits": {cfg.qubits!r},
+    "seed": {cfg.seed!r},
     "setup": {j(cfg.setup.value, 2)},
-    "shots": {j(cfg.shots, 2)},
-    "violation_sigmas": {j(cfg.violation_sigmas, 2)}
+    "shots": {cfg.shots!r},
+    "violation_sigmas": {cfg.violation_sigmas!r}
   }},
   "genuine_fourparty": {j(report.genuine_fourparty, 1)},
 {cell.text},
   "result": {{
-    "error": {j(report.error, 2)},
-    "error_rounded": {j(round_error(report.error), 2)},
-    "value": {j(report.value, 2)}
+    "error": {report.error!r},
+    "error_rounded": {round_error(report.error)!r},
+    "value": {report.value!r}
   }},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "terms": {_terms_json(report.terms, cell.plans[cfg.expand_permutations])},
+  "terms": {_terms_json(report.terms, cell.modes[cfg.expand_permutations].plan)},
   "verdict": {j(report.verdict, 1)}
 }}
 """
@@ -549,15 +585,15 @@ def _exchange_json(report: ExperimentReport) -> str:
     cfg, noise, j = report.config, report.config.noise, _json
     return f"""{{
   "noise": {{
-    "p1": {j(noise.p1, 2)},
-    "p2": {j(noise.p2, 2)},
-    "readout_flip": {j(noise.readout_flip, 2)}
+    "p1": {noise.p1!r},
+    "p2": {noise.p2!r},
+    "readout_flip": {noise.readout_flip!r}
   }},
   "published_reference": {_EXCHANGE_TABLE_TEXT[cfg.qubits]},
-  "qubits": {j(cfg.qubits, 1)},
+  "qubits": {cfg.qubits!r},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "seed": {j(cfg.seed, 1)},
-  "shots": {j(cfg.shots, 1)},
+  "seed": {cfg.seed!r},
+  "shots": {cfg.shots!r},
   "spread": {j(spread, 1)},
   "terms": {_terms_json(terms, plan)}
 }}
@@ -612,7 +648,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
         "",
         _md_params(cfg) + f", expanded={expanded}",
         "",
-        *_md_head(cell.plans[expanded], "result"),
+        *_md_head(cell.modes[expanded].plan, "result"),
         _md_simulated(report.terms, _fmt_pm(report.value, report.error)),
         *(() if expanded else cell.md_published),
         "",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lhv import lr_bound_formula
 from .pauli import PauliString, apply_pauli
-from .statevector import MAX_QUBITS, Record, Statevector
+from .statevector import MAX_QUBITS, Record, Statevector, check_int
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
@@ -37,27 +37,38 @@ class MerminPolynomial(Record):
     """Real-linear combination of X/Y Pauli strings with its two bounds.
 
     ``lr_bound`` is the maximum over local-realistic models and ``qm_value``
-    the quantum maximum, both in the same normalization as ``terms``.
+    the quantum maximum, both in the same normalization as ``terms``.  Each
+    term is stored as a ``(Fraction, PauliString)`` tuple on ``n`` qubits;
+    any other pair raises ``ValueError``.
     """
 
     __slots__ = ("n", "terms", "lr_bound", "qm_value")
 
     def __init__(self, n: int, terms: tuple[Term, ...], lr_bound: float, qm_value: float) -> None:
-        terms = tuple(terms)
+        pairs = []
         for coeff, s in terms:
             if not isinstance(coeff, Fraction):
                 raise ValueError(f"coefficients must be Fraction, got {type(coeff)}")
+            if not isinstance(s, PauliString):
+                raise ValueError(f"a term must pair its coefficient with a PauliString, got {type(s)}")
             if s.n != n:
                 raise ValueError(f"term {s} has {s.n} qubits, polynomial has {n}")
-        self._set(n, terms, lr_bound, qm_value)
+            pairs.append((coeff, s))
+        self._set(n, tuple(pairs), lr_bound, qm_value)
 
 
 class SymmetryClass(Record):
-    """All terms sharing one Y count: per-term coefficient and how many."""
+    """All terms sharing one Y count: per-term coefficient and how many.  The
+    Y count is read as an int >= 0, the multiplicity as an int >= 1, and the
+    coefficient must be a Fraction; anything else raises ``ValueError``."""
 
     __slots__ = ("y_count", "coefficient", "multiplicity")
 
     def __init__(self, y_count: int, coefficient: Fraction, multiplicity: int) -> None:
+        y_count = check_int("y_count", y_count, 0)
+        if not isinstance(coefficient, Fraction):
+            raise ValueError(f"coefficient must be Fraction, got {type(coefficient)}")
+        multiplicity = check_int("multiplicity", multiplicity, 1)
         self._set(y_count, coefficient, multiplicity)
 
 

@@ -138,7 +138,7 @@ def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[
     return p_hat[:, -1].tolist(), [math.sqrt(v) for v in spread[:, -1].tolist()]
 
 
-def polynomial_estimate_expanded(parts: Sequence[tuple[Fraction | float, Any]]) -> tuple[float, float]:
+def polynomial_estimate_expanded(parts: Iterable[tuple[Fraction | float, Any]]) -> tuple[float, float]:
     """Combine independent measurements, each with its weight (a term's coefficient,
     or a class's coefficient * multiplicity), into ``(value, error)``: errors
     add in quadrature.  A measurement is anything with a ``value`` and an
@@ -159,6 +159,13 @@ def exchange_spread(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
+# 10.0**k for 0 <= k <= 22, each exact as a float (5**22 < 2**53).  One IEEE
+# multiply or divide of exact operands is correctly rounded, so leading times
+# or over one of these is the float nearest the decimal, what float() of its
+# text returns.
+_EXACT_POWERS_OF_TEN = tuple(float(10**k) for k in range(23))
+
+
 def round_error(error: float) -> float:
     """Round an uncertainty to its first significant decimal digit (ties up):
     0.0221 -> 0.02, 0.0076 -> 0.008, 0.098 -> 0.1.  The result is the float
@@ -175,7 +182,11 @@ def round_error(error: float) -> float:
     if leading >= 10:
         leading = 1
         exponent += 1
-    rounded = float(f"{leading}e{exponent}")
+    if abs(exponent) < len(_EXACT_POWERS_OF_TEN):
+        scale = _EXACT_POWERS_OF_TEN[abs(exponent)]
+        rounded = leading * scale if exponent >= 0 else leading / scale
+    else:
+        rounded = float(f"{leading}e{exponent}")
     if rounded == math.inf:
         raise ValueError(f"error {error!r} rounds to inf")
     return rounded

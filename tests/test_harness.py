@@ -130,6 +130,26 @@ def test_config_rejects_mistyped_flag_and_sigmas(field, bad):
     assert type(ExperimentConfig(qubits=3, setup="mermin", violation_sigmas=3).violation_sigmas) is float
 
 
+class _SetupId(str):
+    pass
+
+
+@pytest.mark.parametrize("setup", ["al", Setup.AL, _SetupId("al")], ids=["id", "member", "str-subclass"])
+def test_config_reads_a_setup_id_or_member(setup):
+    assert ExperimentConfig(qubits=4, setup=setup).setup is Setup.AL
+
+
+@pytest.mark.parametrize("bad", ["AL", "", ["al"], None, 3], ids=["upper", "empty", "list", "none", "int"])
+def test_config_refuses_a_setup_with_the_error_setup_raises(bad):
+    # A plain str id is looked up in a dict of members; a miss, like anything
+    # else, goes through Setup() and keeps its error.
+    with pytest.raises(Exception) as want:
+        Setup(bad)
+    with pytest.raises(type(want.value)) as got:
+        ExperimentConfig(qubits=3, setup=bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_config_accepts_negative_and_numpy_integer_seeds():
     cfg = ExperimentConfig(qubits=np.int64(3), setup="mermin", seed=np.int64(-5))
     assert type(cfg.qubits) is int and type(cfg.seed) is int

@@ -62,8 +62,15 @@ def test_memoised_distribution_is_read_only():
 def test_checked_setup_entry_is_immutable_and_shared():
     entry = _checked_setup(4, Setup.AL)
     assert isinstance(entry, tuple) and entry.config.setup is Setup.AL
-    assert all(isinstance(field, tuple) for field in (entry.plans, entry.md_published))
-    assert all(isinstance(plan, tuple) for plan in entry.plans)
+    assert all(isinstance(field, tuple) for field in (entry.modes, entry.md_published))
+    # Each mode holds its plan and, in plan order, its seed labels, axes,
+    # weights and what each report term states.
+    for mode in entry.modes:
+        assert all(isinstance(field, tuple) for field in mode)
+        assert mode.labels == tuple(p.label for p in mode.plan)
+        assert mode.axes == tuple(p.axes for p in mode.plan)
+        assert mode.weights == tuple(float(p.coefficient) * p.multiplicity for p in mode.plan)
+        assert mode.stated == tuple((p.y_count, p.axes, p.coefficient, p.multiplicity) for p in mode.plan)
     assert entry.text.startswith('  "ghz_phase": ')
     # Published rows are the class-mode table's, one per device.
     assert len(entry.md_published) == len(device_results(4, "al")["rows"])

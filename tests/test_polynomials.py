@@ -160,6 +160,22 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
     assert checked >= 100
 
 
+def test_polynomial_stores_each_term_as_a_tuple_pair():
+    # A term given as a list pair used to be kept as a list: the copy was
+    # unequal to its source and could not be hashed.
+    p = mermin_direct(3)
+    copy = MerminPolynomial(p.n, [list(t) for t in p.terms], p.lr_bound, p.qm_value)
+    assert all(type(t) is tuple for t in copy.terms)
+    assert copy == p and hash(copy) == hash(p)
+
+
+@pytest.mark.parametrize("second", ["XXY", ("X", "X", "Y"), None], ids=["str", "tuple", "none"])
+def test_polynomial_refuses_a_term_without_a_pauli_string(second):
+    # s.n used to raise AttributeError here.
+    with pytest.raises(ValueError, match="PauliString"):
+        MerminPolynomial(3, [(Fraction(1), second)], lr_bound=2.0, qm_value=1.0)
+
+
 def test_polynomial_serialization_round_trip():
     # Polynomials are stored only inside a report, so the round trip goes
     # through the report writer and reader; the reader takes the report

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from merminsim import (
     Gate,
     NoiseModel,
     PauliString,
+    SymmetryClass,
+    TermEstimate,
     collapse,
     ghz_circuit,
     ghz_state,
@@ -33,14 +36,14 @@ def _report():
 
 
 # Each record with a factory for one instance and a change its constructor
-# refuses (None for the two records that take their fields as given).
+# refuses (None for SetupConfig, which takes its fields as given).
 RECORDS = [
     pytest.param(lambda: Gate("PHASE", (0,), 0.5), {"kind": "T"}, id="Gate"),
     pytest.param(lambda: ghz_circuit(3), {"n": 2}, id="Circuit"),
     pytest.param(lambda: setup_config(4, "al"), None, id="SetupConfig"),
     pytest.param(lambda: PauliString.from_str("XXY"), {"axes": ("Z",)}, id="PauliString"),
     pytest.param(lambda: mermin_direct(3), {"n": 4}, id="MerminPolynomial"),
-    pytest.param(lambda: collapse(mermin_direct(3))[1], None, id="SymmetryClass"),
+    pytest.param(lambda: collapse(mermin_direct(3))[1], {"multiplicity": 0}, id="SymmetryClass"),
     pytest.param(lambda: NoiseModel(0.01, 0.02, 0.03), {"p1": 2.0}, id="NoiseModel"),
     pytest.param(lambda: ExperimentConfig(qubits=3, setup="mermin"), {"qubits": 6}, id="ExperimentConfig"),
     pytest.param(lambda: _report().terms[0], {"error": -1.0}, id="TermEstimate"),
@@ -122,6 +125,41 @@ def test_sequence_fields_are_stored_as_tuples(make, field):
     copy = record._replace(**{field: list(getattr(record, field))})
     assert type(getattr(copy, field)) is tuple
     assert copy == record and hash(copy) == hash(record)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TermEstimate(["x"], "XXY", Fraction(1), 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(-1, "XXY", Fraction(1), 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, ["XXY"], Fraction(1), 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", 1, 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", Fraction(1), 0, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", Fraction(1), 1.0, 0.5, 0.1, 0),
+        lambda: SymmetryClass(["y"], Fraction(1), 1),
+        lambda: SymmetryClass(-1, Fraction(1), 1),
+        lambda: SymmetryClass(1, 1.0, 1),
+        lambda: SymmetryClass(1, Fraction(1), 0),
+        lambda: SymmetryClass(1, Fraction(1), True),
+    ],
+    ids=[
+        "term-y-list", "term-y-negative", "term-axes-list", "term-coefficient-int", "term-multiplicity-0",
+        "term-multiplicity-float", "class-y-list", "class-y-negative", "class-coefficient-float",
+        "class-multiplicity-0", "class-multiplicity-bool",
+    ],
+)
+def test_term_and_class_fields_are_checked(build):
+    # Each of these used to build, and hash() of the list ones raised TypeError.
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_term_and_class_read_numpy_integers_as_plain_ints():
+    term = TermEstimate(np.int64(1), "XXY", Fraction(1), np.int64(3), 0.5, 0.1, 0)
+    cls = SymmetryClass(np.int64(1), Fraction(1), np.int64(3))
+    assert term == TermEstimate(1, "XXY", Fraction(1), 3, 0.5, 0.1, 0)
+    assert cls == SymmetryClass(1, Fraction(1), 3)
+    assert {type(v) for v in (term.y_count, term.multiplicity, cls.y_count, cls.multiplicity)} == {int}
 
 
 def test_states_compare_by_identity():

@@ -39,7 +39,7 @@ def test_published_rows_recombine_to_published_results(qubits, setup):
 def test_published_columns_are_the_class_plan_axes(config):
     # A class-mode markdown table sets the published rows under its plan's
     # columns, one per symmetry class.
-    plan = _checked_setup(config.n, config.setup).plans[False]
+    plan = _checked_setup(config.n, config.setup).modes[False].plan
     assert device_results(config.n, config.setup.value)["columns"] == [p.axes for p in plan]
 
 

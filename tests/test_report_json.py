@@ -253,6 +253,38 @@ def test_numpy_float32_term_value_is_read_as_a_float():
     assert render_report(edited, "json") == expected(edited)
 
 
+@pytest.mark.parametrize(
+    "qubits, setup, expand", [(3, "mermin", True), (4, "al", False)], ids=["3q-mermin-expanded", "4q-al-class"]
+)
+def test_numpy_scalars_are_stored_and_written_as_python_numbers(qubits, setup, expand):
+    # The writers put the repr of each checked number straight into the text.
+    # Under numpy >= 2 a numpy scalar's repr reads np.float64(0.5), so every
+    # constructor must read numpy numbers as plain ints and floats.
+    report = _report(qubits, setup, seed=7, noise=NoiseModel(0.01, 0.02, 0.03), expand_permutations=expand)
+    cfg, i64, f64 = report.config, np.int64, np.float64
+    config = ExperimentConfig(
+        i64(cfg.qubits), cfg.setup.value, i64(cfg.shots), i64(cfg.seed),
+        NoiseModel(*(f64(p) for p in cfg.noise._values)), cfg.expand_permutations, f64(cfg.violation_sigmas),
+    )
+    terms = tuple(
+        type(t)(i64(t.y_count), t.axes, t.coefficient, i64(t.multiplicity), f64(t.value), f64(t.error), i64(t.seed))
+        for t in report.terms
+    )
+    built = ExperimentReport(config, terms, f64(report.value), f64(report.error), report.verdict, report.genuine_fourparty)
+    assert built == report
+
+    def types(r: ExperimentReport) -> list[type]:
+        records = (r, r.config, r.config.noise, *r.terms)
+        return [type(v) for record in records for v in record._values]
+
+    # np.float64 subclasses float, so compare exact types with the run's own.
+    assert types(built) == types(report) and {int, float} <= set(types(report))
+    for fmt in harness.RENDER_FORMATS:
+        assert render_report(built, fmt) == render_report(report, fmt)
+        if expand:
+            assert render_exchange_report(built, fmt) == render_exchange_report(report, fmt)
+
+
 def test_warm_catalog_render_calls_json_dumps_zero_times(monkeypatch):
     reports = [
         _report(n, setup, seed=3, noise=NoiseModel(0.02, 0.02, 0.02), expand_permutations=expand)
