@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Sequence
@@ -98,21 +97,20 @@ class ExperimentConfig(Record):
 
 class TermEstimate(Record):
     """One measured circuit: its class, coefficient, and estimate.  The Y
-    count is read as an int >= 0 and the multiplicity as an int >= 1, the
-    axes must be a str and the coefficient a Fraction, the value and error
+    count is read as an int >= 0, the coefficient as an int and the
+    multiplicity as an int >= 1, the axes must be a str, the value and error
     are read as finite floats (the error >= 0) and the seed as an int >= 0,
     a seed a draw can use; anything else raises ``ValueError``."""
 
     __slots__ = ("y_count", "axes", "coefficient", "multiplicity", "value", "error", "seed")
 
     def __init__(
-        self, y_count: int, axes: str, coefficient: Fraction, multiplicity: int, value: float, error: float, seed: int
+        self, y_count: int, axes: str, coefficient: int, multiplicity: int, value: float, error: float, seed: int
     ) -> None:
         y_count = check_int("term y_count", y_count, 0)
         if not isinstance(axes, str):
             raise ValueError(f"term axes must be a str, got {axes!r}")
-        if not isinstance(coefficient, Fraction):
-            raise ValueError(f"term coefficient must be a Fraction, got {coefficient!r}")
+        coefficient = check_int("term coefficient", coefficient)
         multiplicity = check_int("term multiplicity", multiplicity, 1)
         value = check_real("term value", value, -math.inf)
         error = check_real("term error", error, 0.0)
@@ -241,7 +239,7 @@ class _PlannedTerm(NamedTuple):
     measurement and seed."""
 
     axes: str
-    coefficient: Fraction
+    coefficient: int
     multiplicity: int
     y_count: int
     label: bytes
@@ -250,7 +248,7 @@ class _PlannedTerm(NamedTuple):
     csv_head: str
 
 
-def _planned(axes: str, coefficient: Fraction, multiplicity: int, *label: object) -> _PlannedTerm:
+def _planned(axes: str, coefficient: int, multiplicity: int, *label: object) -> _PlannedTerm:
     weight = float(coefficient) * multiplicity
     term = _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight, None, "")
     return term._replace(json_frame=_json_frame(term), csv_head=_csv_head(term))
@@ -293,7 +291,7 @@ class _Mode(NamedTuple):
     labels: tuple[bytes, ...]
     axes: tuple[str, ...]
     weights: tuple[float, ...]
-    stated: tuple[tuple[int, str, Fraction, int], ...]
+    stated: tuple[tuple[int, str, int, int], ...]
 
 
 def _mode(plan: tuple[_PlannedTerm, ...]) -> _Mode:

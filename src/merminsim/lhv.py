@@ -49,5 +49,5 @@ def lr_bound_bruteforce(p: "MerminPolynomial") -> float:
         ym = s.y_mask
         sx = PARITY_SIGNS[idx & (full ^ ym)]
         sy = PARITY_SIGNS[idx & ym]
-        values += float(coeff) * np.outer(sx, sy)
+        values += coeff * np.outer(sx, sy)
     return float(values.max())

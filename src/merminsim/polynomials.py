@@ -1,28 +1,27 @@
 """Mermin-type polynomials: direct odd-Y expansion, two-setting recursion,
 primed variants, and collapse into qubit-exchange symmetry classes.
 
-Coefficients stay exact rationals (fractions.Fraction) through construction;
-floats appear only when a polynomial is evaluated against a state.
+Coefficients are plain ints (every one built here is +-1); floats appear
+only when a polynomial is evaluated against a state.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .lhv import lr_bound_formula
 from .pauli import PauliString, apply_pauli
-from .statevector import MAX_QUBITS, Record, Statevector, check_int
+from .statevector import MAX_QUBITS, Record, Statevector, check_int, check_real
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
 CHECK_TOL = 1e-10
 
-Term = tuple[Fraction, PauliString]
+Term = tuple[int, PauliString]
 
 
 class EigencheckError(ValueError):
@@ -37,42 +36,44 @@ class MerminPolynomial(Record):
     """Real-linear combination of X/Y Pauli strings with its two bounds.
 
     ``lr_bound`` is the maximum over local-realistic models and ``qm_value``
-    the quantum maximum, both in the same normalization as ``terms``.  Each
-    term is stored as a ``(Fraction, PauliString)`` tuple on ``n`` qubits;
-    any other pair raises ``ValueError``.
+    the quantum maximum, both in the same normalization as ``terms``.  ``n``
+    is read as an int >= 1 and both bounds as finite floats >= 0.  Each term
+    is stored as an ``(int, PauliString)`` tuple on ``n`` qubits, its
+    coefficient read as a plain int; anything else raises ``ValueError``.
     """
 
     __slots__ = ("n", "terms", "lr_bound", "qm_value")
 
     def __init__(self, n: int, terms: tuple[Term, ...], lr_bound: float, qm_value: float) -> None:
+        n = check_int("n", n, 1)
         pairs = []
         for coeff, s in terms:
-            if not isinstance(coeff, Fraction):
-                raise ValueError(f"coefficients must be Fraction, got {type(coeff)}")
+            coeff = check_int("coefficient", coeff)
             if not isinstance(s, PauliString):
                 raise ValueError(f"a term must pair its coefficient with a PauliString, got {type(s)}")
             if s.n != n:
                 raise ValueError(f"term {s} has {s.n} qubits, polynomial has {n}")
             pairs.append((coeff, s))
+        lr_bound = check_real("lr_bound", lr_bound, 0.0)
+        qm_value = check_real("qm_value", qm_value, 0.0)
         self._set(n, tuple(pairs), lr_bound, qm_value)
 
 
 class SymmetryClass(Record):
     """All terms sharing one Y count: per-term coefficient and how many.  The
-    Y count is read as an int >= 0, the multiplicity as an int >= 1, and the
-    coefficient must be a Fraction; anything else raises ``ValueError``."""
+    Y count is read as an int >= 0, the coefficient as an int and the
+    multiplicity as an int >= 1; anything else raises ``ValueError``."""
 
     __slots__ = ("y_count", "coefficient", "multiplicity")
 
-    def __init__(self, y_count: int, coefficient: Fraction, multiplicity: int) -> None:
+    def __init__(self, y_count: int, coefficient: int, multiplicity: int) -> None:
         y_count = check_int("y_count", y_count, 0)
-        if not isinstance(coefficient, Fraction):
-            raise ValueError(f"coefficient must be Fraction, got {type(coefficient)}")
+        coefficient = check_int("coefficient", coefficient)
         multiplicity = check_int("multiplicity", multiplicity, 1)
         self._set(y_count, coefficient, multiplicity)
 
 
-def _canonical_terms(by_axes: dict[tuple[str, ...], Fraction]) -> tuple[Term, ...]:
+def _canonical_terms(by_axes: dict[tuple[str, ...], int]) -> tuple[Term, ...]:
     items = [(axes, c) for axes, c in by_axes.items() if c != 0]
     items.sort(key=lambda it: (it[0].count("Y"), it[0]))
     return tuple((c, PauliString(axes)) for axes, c in items)
@@ -85,7 +86,7 @@ def ghz_coherence(terms: tuple[Term, ...]) -> complex:
     reads Re(e^{i phase} M[0,N]): at most |M[0,N]|, at phase -arg M[0,N].  The
     polynomials built here have no other non-zero entry but M[N,0], so |M[0,N]|
     is also their largest eigenvalue, the quantum value.  The float sum is
-    exact, as the coefficients are small dyadic rationals.
+    exact, as the coefficients are small ints.
     """
     return sum(float(c) * (1, -1j, -1, 1j)[s.y_count % 4] for c, s in terms)
 
@@ -102,7 +103,7 @@ def optimal_ghz_phase(p: MerminPolynomial) -> float:
     return (4 if k == -4 else k) * math.pi / 4
 
 
-def _from_axes(n: int, by_axes: dict[tuple[str, ...], Fraction]) -> MerminPolynomial:
+def _from_axes(n: int, by_axes: dict[tuple[str, ...], int]) -> MerminPolynomial:
     """The polynomial with its closed-form LR bound and QM value |M[0,N]|."""
     terms = _canonical_terms(by_axes)
     return MerminPolynomial(n, terms, lr_bound_formula(n), abs(ghz_coherence(terms)))
@@ -113,9 +114,9 @@ def mermin_direct(n: int) -> MerminPolynomial:
     coefficient (-1)**((Y-1)/2).  2**(n-1) terms; QM value |M[0,N]| = 2**(n-1)."""
     if not 3 <= n <= MAX_QUBITS:
         raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
-    by_axes: dict[tuple[str, ...], Fraction] = {}
+    by_axes: dict[tuple[str, ...], int] = {}
     for y in range(1, n + 1, 2):
-        coeff = Fraction((-1) ** ((y - 1) // 2))
+        coeff = (-1) ** ((y - 1) // 2)
         for pos in combinations(range(n), y):
             axes = tuple("Y" if q in pos else "X" for q in range(n))
             by_axes[axes] = coeff
@@ -128,7 +129,9 @@ def alsina_recursive(n: int) -> MerminPolynomial:
     where M* swaps X and Y everywhere.
 
     The raw recursion normalizes the LHV bound to 1; the result is rescaled by
-    2**floor(n/2) so the bound matches lr_bound_formula(n).  This reproduces
+    2**floor(n/2) so the bound matches lr_bound_formula(n).  Here no step
+    halves, so coefficients stay ints, and one exact division by
+    2**(n-1-floor(n/2)) at the end makes that rescale.  This reproduces
     the customary presentations: identical to mermin_direct at n=3, per-class
     coefficients (-1,+1,+1,-1,-1) at n=4, and (-1,+1,-1) on Y=(0,2,4) at n=5
     (the conventional halving of the raw 5-qubit output is absorbed here).
@@ -136,19 +139,19 @@ def alsina_recursive(n: int) -> MerminPolynomial:
     """
     if not 3 <= n <= MAX_QUBITS:
         raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
-    terms: dict[tuple[str, ...], Fraction] = {("X",): Fraction(1)}
+    terms: dict[tuple[str, ...], int] = {("X",): 1}
     for _ in range(n - 1):
         swapped = {tuple("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
-        grown: dict[tuple[str, ...], Fraction] = defaultdict(Fraction)
+        grown: dict[tuple[str, ...], int] = defaultdict(int)
         for ax, c in terms.items():
-            grown[ax + ("X",)] += c / 2
-            grown[ax + ("Y",)] += c / 2
+            grown[ax + ("X",)] += c
+            grown[ax + ("Y",)] += c
         for ax, c in swapped.items():
-            grown[ax + ("X",)] += c / 2
-            grown[ax + ("Y",)] -= c / 2
+            grown[ax + ("X",)] += c
+            grown[ax + ("Y",)] -= c
         terms = {ax: c for ax, c in grown.items() if c != 0}
-    scale = Fraction(2 ** (n // 2))
-    return _from_axes(n, {ax: c * scale for ax, c in terms.items()})
+    scale = 2 ** (n - 1 - n // 2)
+    return _from_axes(n, {ax: c // scale for ax, c in terms.items()})
 
 
 def primed(p: MerminPolynomial) -> MerminPolynomial:
@@ -164,7 +167,7 @@ def collapse(p: MerminPolynomial) -> list[SymmetryClass]:
 
     Raises ValueError if a class mixes different coefficients.
     """
-    groups: dict[int, list[Fraction]] = defaultdict(list)
+    groups: dict[int, list[int]] = defaultdict(list)
     for coeff, s in p.terms:
         groups[s.y_count].append(coeff)
     classes = []
@@ -187,7 +190,7 @@ def eigencheck(p: MerminPolynomial, state: Statevector) -> float:
         raise ValueError(f"state has {state.n} qubits but polynomial has {p.n}")
     acc = np.zeros(state.dim, dtype=np.complex128)
     for coeff, s in p.terms:
-        acc += float(coeff) * apply_pauli(state, s).amplitudes
+        acc += coeff * apply_pauli(state, s).amplitudes
     lam = float(np.real(np.vdot(state.amplitudes, acc)))
     residual = float(np.linalg.norm(acc - lam * state.amplitudes))
     if residual > CHECK_TOL:

@@ -16,7 +16,6 @@ import hashlib
 import math
 import sys
 import threading
-from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -138,7 +137,7 @@ def parity_estimates(counts: np.ndarray, shots: int) -> tuple[list[float], list[
     return p_hat[:, -1].tolist(), [math.sqrt(v) for v in spread[:, -1].tolist()]
 
 
-def polynomial_estimate_expanded(parts: Iterable[tuple[Fraction | float, Any]]) -> tuple[float, float]:
+def polynomial_estimate_expanded(parts: Iterable[tuple[float, Any]]) -> tuple[float, float]:
     """Combine independent measurements, each with its weight (a term's coefficient,
     or a class's coefficient * multiplicity), into ``(value, error)``: errors
     add in quadrature.  A measurement is anything with a ``value`` and an

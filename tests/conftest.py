@@ -1,4 +1,5 @@
-"""Shared test helpers: dense-matrix oracles and random state factories.
+"""Shared test helpers: dense-matrix oracles, a rational-arithmetic
+polynomial oracle and random state factories.
 
 The production code applies gates and Pauli strings with bitwise index
 arithmetic and never materializes an operator matrix.  The helpers here
@@ -12,6 +13,8 @@ trajectory per shot.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,3 +163,23 @@ def random_symmetric_state(n: int, rng: np.random.Generator) -> np.ndarray:
     weights = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     amp = np.array([weights[bin(i).count("1")] for i in range(2**n)], dtype=complex)
     return amp / np.linalg.norm(amp)
+
+
+def rational_alsina_terms(n: int) -> dict[str, Fraction]:
+    """Axes string -> coefficient of the two-setting recursion in exact
+    rationals, the obvious way: M_k = (1/2)[M_{k-1}(x + y) + M*_{k-1}(x - y)],
+    M_1 = x, where M* swaps X and Y, halving at every step and then rescaled
+    by 2**(n//2).  ``alsina_recursive`` keeps ints instead: it never halves
+    and divides once at the end."""
+    terms: dict[tuple[str, ...], Fraction] = {("X",): Fraction(1)}
+    for _ in range(n - 1):
+        swapped = {tuple("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
+        grown: dict[tuple[str, ...], Fraction] = defaultdict(Fraction)
+        for ax, c in terms.items():
+            grown[ax + ("X",)] += c / 2
+            grown[ax + ("Y",)] += c / 2
+        for ax, c in swapped.items():
+            grown[ax + ("X",)] += c / 2
+            grown[ax + ("Y",)] -= c / 2
+        terms = {ax: c for ax, c in grown.items() if c != 0}
+    return {"".join(ax): c * 2 ** (n // 2) for ax, c in terms.items()}

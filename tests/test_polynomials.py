@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import dense_pauli_matrix, random_symmetric_state
+from conftest import dense_pauli_matrix, random_symmetric_state, rational_alsina_terms
 from merminsim import (
     EigencheckError,
     ExperimentConfig,
@@ -39,7 +38,7 @@ def test_direct_construction_term_count_and_signs(n):
     assert len(poly.terms) == 2 ** (n - 1)
     for coeff, pauli in poly.terms:
         assert pauli.y_count % 2 == 1
-        assert coeff == Fraction((-1) ** ((pauli.y_count - 1) // 2))
+        assert coeff == (-1) ** ((pauli.y_count - 1) // 2)
     # Every odd-Y string appears exactly once.
     assert len({p.axes for _, p in poly.terms}) == len(poly.terms)
 
@@ -53,19 +52,19 @@ def test_recursive_equals_direct_for_three_qubits():
 def test_collapse_three_qubit_classes():
     classes = collapse(mermin_direct(3))
     assert classes == [
-        SymmetryClass(1, Fraction(1), 3),
-        SymmetryClass(3, Fraction(-1), 1),
+        SymmetryClass(1, 1, 3),
+        SymmetryClass(3, -1, 1),
     ]
 
 
 def test_collapse_four_qubit_recursive_classes():
     classes = collapse(alsina_recursive(4))
     assert classes == [
-        SymmetryClass(0, Fraction(-1), 1),
-        SymmetryClass(1, Fraction(1), 4),
-        SymmetryClass(2, Fraction(1), 6),
-        SymmetryClass(3, Fraction(-1), 4),
-        SymmetryClass(4, Fraction(-1), 1),
+        SymmetryClass(0, -1, 1),
+        SymmetryClass(1, 1, 4),
+        SymmetryClass(2, 1, 6),
+        SymmetryClass(3, -1, 4),
+        SymmetryClass(4, -1, 1),
     ]
     # 16 terms total, one per axis string.
     assert len(alsina_recursive(4).terms) == 16
@@ -73,14 +72,14 @@ def test_collapse_four_qubit_recursive_classes():
 
 def test_collapse_five_qubit_classes():
     assert collapse(mermin_direct(5)) == [
-        SymmetryClass(1, Fraction(1), 5),
-        SymmetryClass(3, Fraction(-1), 10),
-        SymmetryClass(5, Fraction(1), 1),
+        SymmetryClass(1, 1, 5),
+        SymmetryClass(3, -1, 10),
+        SymmetryClass(5, 1, 1),
     ]
     assert collapse(alsina_recursive(5)) == [
-        SymmetryClass(0, Fraction(-1), 1),
-        SymmetryClass(2, Fraction(1), 10),
-        SymmetryClass(4, Fraction(-1), 5),
+        SymmetryClass(0, -1, 1),
+        SymmetryClass(2, 1, 10),
+        SymmetryClass(4, -1, 5),
     ]
 
 
@@ -125,8 +124,8 @@ def test_eigencheck_rejects_non_eigenstates():
 
 def test_collapse_rejects_mixed_coefficients_in_a_class():
     terms = (
-        (Fraction(1), PauliString.from_str("XXY")),
-        (Fraction(-1), PauliString.from_str("XYX")),
+        (1, PauliString.from_str("XXY")),
+        (-1, PauliString.from_str("XYX")),
     )
     poly = MerminPolynomial(3, terms, lr_bound=2.0, qm_value=4.0)
     with pytest.raises(ValueError):
@@ -173,7 +172,16 @@ def test_polynomial_stores_each_term_as_a_tuple_pair():
 def test_polynomial_refuses_a_term_without_a_pauli_string(second):
     # s.n used to raise AttributeError here.
     with pytest.raises(ValueError, match="PauliString"):
-        MerminPolynomial(3, [(Fraction(1), second)], lr_bound=2.0, qm_value=1.0)
+        MerminPolynomial(3, [(1, second)], lr_bound=2.0, qm_value=1.0)
+
+
+def test_polynomial_reads_int_bounds_and_numpy_n_as_plain_numbers():
+    # An int |M[0,N]| kept as an int would write 4 where the reports write 4.0.
+    # The refused n and bounds are cases of test_term_and_class_fields_are_checked.
+    p = mermin_direct(3)
+    q = MerminPolynomial(np.int64(3), p.terms, 2, 4)
+    assert q == p and repr(q) == repr(p)
+    assert (type(q.n), type(q.lr_bound), type(q.qm_value)) == (int, float, float)
 
 
 def test_polynomial_serialization_round_trip():
@@ -190,11 +198,13 @@ def test_polynomial_serialization_round_trip():
         stored = payload["polynomial"]
         again = MerminPolynomial(
             stored["n"],
-            tuple((Fraction(*t["coefficient"]), PauliString.from_str(t["axes"])) for t in stored["terms"]),
+            tuple((t["coefficient"][0], PauliString.from_str(t["axes"])) for t in stored["terms"]),
             stored["lr_bound"],
             stored["qm_value"],
         )
         assert again == poly
+        # The schema-v1 [numerator, denominator] pair of an int coefficient.
+        assert all(t["coefficient"][1] == 1 for t in stored["terms"])
         ExperimentReport.from_dict(payload)
         stored["terms"][0]["coefficient"][0] *= -1
         with pytest.raises(ValueError, match="field 'polynomial' is not what the report re-renders"):
@@ -206,7 +216,9 @@ def test_ghz_coherence_gives_every_builders_phase_and_bounds():
     # eigenvector with the derived QM value as eigenvalue; that value is the
     # largest eigenvalue, as the dense operator has no non-zero entry but
     # M[0,N] and M[N,0]; it follows the parity rule, 2**(n-1), times sqrt(2)
-    # for the even-n recursion; and the closed-form LR bound is brute force's.
+    # for the even-n recursion; the closed-form LR bound is brute force's;
+    # every coefficient is an int +-1; and the int recursion is the rational
+    # one that halves at every step.
     builders = {
         "direct": mermin_direct,
         "recursive": alsina_recursive,
@@ -224,6 +236,8 @@ def test_ghz_coherence_gives_every_builders_phase_and_bounds():
             assert dense[0, -1] == ghz_coherence(poly.terms), (name, n)
             assert abs(np.linalg.eigvalsh(dense)[-1] - poly.qm_value) <= CHECK_TOL, (name, n)
             assert lr_bound_bruteforce(poly) == poly.lr_bound, (name, n)
+            assert all(type(c) is int and c in (-1, 1) for c, _ in poly.terms), (name, n)
+        assert {str(s): c for c, s in alsina_recursive(n).terms} == rational_alsina_terms(n), n
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -235,6 +249,6 @@ def test_builders_reject_fewer_than_three_qubits(n):
 
 def test_optimal_ghz_phase_rejects_a_phase_off_the_pi_over_4_grid():
     # M[0,N] = 1 - 2i has an argument that is no multiple of pi/4.
-    terms = ((Fraction(1), PauliString.from_str("XXX")), (Fraction(2), PauliString.from_str("XXY")))
+    terms = ((1, PauliString.from_str("XXX")), (2, PauliString.from_str("XXY")))
     with pytest.raises(ValueError, match="not a multiple of pi/4"):
         optimal_ghz_phase(MerminPolynomial(3, terms, lr_bound=3.0, qm_value=math.sqrt(5.0)))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import math
 import pickle
 import pkgutil
 from fractions import Fraction
@@ -17,6 +18,7 @@ import merminsim
 from merminsim import (
     ExperimentConfig,
     Gate,
+    MerminPolynomial,
     NoiseModel,
     PauliString,
     SymmetryClass,
@@ -130,36 +132,50 @@ def test_sequence_fields_are_stored_as_tuples(make, field):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: TermEstimate(["x"], "XXY", Fraction(1), 1, 0.5, 0.1, 0),
-        lambda: TermEstimate(-1, "XXY", Fraction(1), 1, 0.5, 0.1, 0),
-        lambda: TermEstimate(1, ["XXY"], Fraction(1), 1, 0.5, 0.1, 0),
-        lambda: TermEstimate(1, "XXY", 1, 1, 0.5, 0.1, 0),
-        lambda: TermEstimate(1, "XXY", Fraction(1), 0, 0.5, 0.1, 0),
-        lambda: TermEstimate(1, "XXY", Fraction(1), 1.0, 0.5, 0.1, 0),
-        lambda: SymmetryClass(["y"], Fraction(1), 1),
-        lambda: SymmetryClass(-1, Fraction(1), 1),
+        lambda: TermEstimate(["x"], "XXY", 1, 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(-1, "XXY", 1, 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, ["XXY"], 1, 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", Fraction(1), 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", True, 1, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", 1, 0, 0.5, 0.1, 0),
+        lambda: TermEstimate(1, "XXY", 1, 1.0, 0.5, 0.1, 0),
+        lambda: SymmetryClass(["y"], 1, 1),
+        lambda: SymmetryClass(-1, 1, 1),
         lambda: SymmetryClass(1, 1.0, 1),
-        lambda: SymmetryClass(1, Fraction(1), 0),
-        lambda: SymmetryClass(1, Fraction(1), True),
+        lambda: SymmetryClass(1, Fraction(1), 1),
+        lambda: SymmetryClass(1, 1, 0),
+        lambda: SymmetryClass(1, 1, True),
+        lambda: MerminPolynomial(3, [(Fraction(1), PauliString.from_str("XXY"))], 2.0, 1.0),
+        lambda: mermin_direct(3)._replace(n=3.0),
+        lambda: mermin_direct(3)._replace(lr_bound="x"),
+        lambda: mermin_direct(3)._replace(qm_value=None),
+        lambda: mermin_direct(3)._replace(lr_bound=math.nan),
+        lambda: mermin_direct(3)._replace(qm_value=math.inf),
+        lambda: mermin_direct(3)._replace(lr_bound=-2.0),
     ],
     ids=[
-        "term-y-list", "term-y-negative", "term-axes-list", "term-coefficient-int", "term-multiplicity-0",
-        "term-multiplicity-float", "class-y-list", "class-y-negative", "class-coefficient-float",
-        "class-multiplicity-0", "class-multiplicity-bool",
+        "term-y-list", "term-y-negative", "term-axes-list", "term-coefficient-fraction", "term-coefficient-bool",
+        "term-multiplicity-0", "term-multiplicity-float", "class-y-list", "class-y-negative",
+        "class-coefficient-float", "class-coefficient-fraction", "class-multiplicity-0", "class-multiplicity-bool",
+        "polynomial-coefficient-fraction", "polynomial-n-float", "polynomial-lr-str", "polynomial-qm-none",
+        "polynomial-lr-nan", "polynomial-qm-inf", "polynomial-lr-negative",
     ],
 )
 def test_term_and_class_fields_are_checked(build):
-    # Each of these used to build, and hash() of the list ones raised TypeError.
+    # Most of these used to build (a Fraction coefficient was the required
+    # type, and n = 3.0 even compared equal to its source), and hash() of the
+    # list ones raised TypeError.
     with pytest.raises(ValueError):
         build()
 
 
 def test_term_and_class_read_numpy_integers_as_plain_ints():
-    term = TermEstimate(np.int64(1), "XXY", Fraction(1), np.int64(3), 0.5, 0.1, 0)
-    cls = SymmetryClass(np.int64(1), Fraction(1), np.int64(3))
-    assert term == TermEstimate(1, "XXY", Fraction(1), 3, 0.5, 0.1, 0)
-    assert cls == SymmetryClass(1, Fraction(1), 3)
-    assert {type(v) for v in (term.y_count, term.multiplicity, cls.y_count, cls.multiplicity)} == {int}
+    term = TermEstimate(np.int64(1), "XXY", np.int64(-1), np.int64(3), 0.5, 0.1, 0)
+    cls = SymmetryClass(np.int64(1), np.int64(-1), np.int64(3))
+    assert term == TermEstimate(1, "XXY", -1, 3, 0.5, 0.1, 0)
+    assert cls == SymmetryClass(1, -1, 3)
+    fields = (term.y_count, term.coefficient, term.multiplicity, cls.y_count, cls.coefficient, cls.multiplicity)
+    assert {type(v) for v in fields} == {int}
 
 
 def test_states_compare_by_identity():

@@ -8,7 +8,6 @@ import sys
 import threading
 import warnings
 from decimal import Decimal
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -186,13 +185,13 @@ def test_expectation_always_within_physical_range():
 def test_estimate_rejects_negative_error():
     # A report's terms are its estimates, and each refuses a negative error.
     with pytest.raises(ValueError, match="term error must lie in"):
-        TermEstimate(1, "XXY", Fraction(1), 3, 0.5, -0.1, 0)
+        TermEstimate(1, "XXY", 1, 3, 0.5, -0.1, 0)
 
 
 def test_term_estimate_rejects_a_negative_seed():
     # generator_state refuses a negative seed, so no draw could have used one.
     with pytest.raises(ValueError, match="term seed must be >= 0"):
-        TermEstimate(1, "XXY", Fraction(1), 3, 0.5, 0.1, -1)
+        TermEstimate(1, "XXY", 1, 3, 0.5, 0.1, -1)
 
 
 def _class_estimate(poly, estimates: dict[int, _Measured]) -> tuple[float, float]:
