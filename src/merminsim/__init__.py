@@ -22,7 +22,7 @@ from .harness import (
     run_exchange_test,
     verify_invariants,
 )
-from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce, lr_bound_formula
+from .lhv import lr_bound_bruteforce, lr_bound_formula
 from .noise import NoiseModel, outcome_probabilities
 from .pauli import PauliString, apply_pauli, exact_expectation
 from .polynomials import (
@@ -64,7 +64,6 @@ __all__ = [
     "run_experiment",
     "run_exchange_test",
     "verify_invariants",
-    "GENUINE_FOURPARTY_BOUND",
     "lr_bound_bruteforce",
     "lr_bound_formula",
     "NoiseModel",

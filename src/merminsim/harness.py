@@ -23,7 +23,7 @@ import numpy as np
 from . import reference
 from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_circuit
 from .circuits import measurement_transform, run, setup_config
-from .lhv import GENUINE_FOURPARTY_BOUND, lr_bound_bruteforce
+from .lhv import lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
 from .pauli import PARITY_SIGNS, PauliString, exact_expectation
 from .polynomials import CHECK_TOL, EigencheckError, collapse, eigencheck
@@ -125,9 +125,9 @@ class ExperimentReport(Record):
     multiplicity, Y count), so every writer reads their frames from the
     plan.  A report with other terms, a non-finite value or error, a
     verdict other than ``VERDICT_VIOLATES`` or ``VERDICT_CONSISTENT``, or a
-    ``genuine_fourparty`` that is not a bool on a run with the four-party
-    claim (``_claims_fourparty``) and None on any other, is refused with
-    ``ValueError`` when it is built."""
+    ``genuine_fourparty`` that is not a bool on a run whose cell states the
+    genuine n-party claim (``_Cell.genuine_bound``) and None on any other, is
+    refused with ``ValueError`` when it is built."""
 
     __slots__ = ("config", "terms", "value", "error", "verdict", "genuine_fourparty")
 
@@ -140,7 +140,8 @@ class ExperimentReport(Record):
         verdict: str,
         genuine_fourparty: bool | None,
     ) -> None:
-        stated = _checked_setup(config.qubits, config.setup).modes[config.expand_permutations].stated
+        cell = _checked_setup(config.qubits, config.setup)
+        stated = cell.modes[config.expand_permutations].stated
         terms = tuple(terms)
         if tuple([(t.y_count, t.axes, t.coefficient, t.multiplicity) for t in terms]) != stated:
             raise ValueError(f"terms must state the run's {len(stated)} planned terms in order")
@@ -149,11 +150,11 @@ class ExperimentReport(Record):
         if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
             raise ValueError(f"verdict must be {VERDICT_VIOLATES!r} or {VERDICT_CONSISTENT!r}, got {verdict!r}")
         flag = genuine_fourparty
-        if _claims_fourparty(config):
+        if cell.genuine_bound is not None:
             if type(flag) is not bool:
-                raise ValueError(f"genuine_fourparty must be a bool on a 4-qubit al or al-mod run, got {flag!r}")
+                raise ValueError(f"genuine_fourparty must be a bool on a run with the n-party claim, got {flag!r}")
         elif flag is not None:
-            raise ValueError(f"genuine_fourparty must be None on a run without the four-party claim, got {flag!r}")
+            raise ValueError(f"genuine_fourparty must be None on a run without the n-party claim, got {flag!r}")
         self._set(config, terms, value, error, verdict, genuine_fourparty)
 
     def to_dict(self) -> dict:
@@ -317,19 +318,21 @@ class _Cell(NamedTuple):
     # The markdown table's published rows, whose columns are the class plan's:
     # a class-mode table shows them, an expanded one does not.
     md_published: tuple[str, ...]
+    # The genuine n-party claim's threshold, the k = n - 1 hybrid bound; None if not below QM.
+    genuine_bound: float | None
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _checked_setup(n: int, setup: Setup) -> _Cell:
-    """The catalog entry of a cell with its term plans and render frames.
-    Bounds are rechecked when the entry is built; a failed recheck raises and
-    is not memoised."""
+    """The catalog entry of a cell with its term plans, render frames and
+    genuine n-party bound.  Bounds are rechecked when the entry is built; a
+    failed recheck raises and is not memoised."""
     sc = setup_config(n, setup)
     for name, ok, detail in recheck_bounds(sc)[0]:
         if not ok:
             raise InvariantError(f"{name}: FAIL ({detail})")
     poly, table = sc.polynomial, reference.device_results(sc.n, sc.setup.value)
-    terms = [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms]
+    terms = [{"axes": str(s), "coefficient": [c, 1]} for c, s in poly.terms]
     cell = {
         "ghz_phase": sc.ghz_phase,
         "lr_bound": sc.lr_bound,
@@ -350,17 +353,14 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
         for cl in collapse(poly)
     )
     every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
+    genuine = lr_bound_bruteforce(poly, n - 1)
     return _Cell(
         sc,
         (_mode(by_class), _mode(every_term)),
         _dumps(cell)[2:-2],
         _md_published(table, lambda row: f"{row['result']:.2f} +/- {table['result_error']}"),
+        genuine if genuine < sc.qm_value - CHECK_TOL else None,
     )
-
-
-def _claims_fourparty(cfg: ExperimentConfig) -> bool:
-    """Whether a run states the genuine four-party claim: 4-qubit ``al`` and ``al-mod``."""
-    return cfg.qubits == 4 and cfg.setup in (Setup.AL, Setup.AL_MODIFIED)
 
 
 def _plan(cfg: ExperimentConfig) -> tuple[_PlannedTerm, ...]:
@@ -400,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         value=value,
         error=error,
         verdict=VERDICT_VIOLATES if lower > sc.lr_bound else VERDICT_CONSISTENT,
-        genuine_fourparty=bool(lower > GENUINE_FOURPARTY_BOUND) if _claims_fourparty(cfg) else None,
+        genuine_fourparty=None if cell.genuine_bound is None else bool(lower > cell.genuine_bound),
     )
 
 
@@ -484,8 +484,8 @@ def _json_frame(term: _PlannedTerm) -> tuple[str, str, str, str, str]:
         f"""    {{
       "axes": {j(term.axes, 3)},
       "coefficient": [
-        {j(term.coefficient.numerator, 4)},
-        {j(term.coefficient.denominator, 4)}
+        {j(term.coefficient, 4)},
+        1
       ],
       "error": """,
         """,
@@ -657,7 +657,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
     if report.genuine_fourparty is not None:
         state = "exceeds" if report.genuine_fourparty else "does not exceed"
         out.append(
-            f"genuine four-party nonlocality: value {state} {GENUINE_FOURPARTY_BOUND}"
+            f"genuine four-party nonlocality: value {state} {cell.genuine_bound}"
             f" by more than {cfg.violation_sigmas} sigma"
         )
     return out

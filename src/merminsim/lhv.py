@@ -1,27 +1,24 @@
-"""Local-realistic bounds for Mermin-type polynomials.
+"""Local-realistic and hybrid bounds for Mermin-type polynomials.
 
-The bound over all local hidden-variable models equals the maximum over
-deterministic strategies (the polynomial is linear in each local outcome and
-the LHV polytope's vertices are deterministic assignments), so brute force
-over every choice of a_x, a_y = +/-1 per qubit is exact.
+A hybrid model splits the qubits into groups of at most k that may share any
+resource (Svetlichny, PRD 35, 3066, 1987; Collins et al., PRL 88, 170405, 2002):
+k = 1 is local realism, and a value above the k = n - 1 bound certifies genuine
+n-party nonlocality.  Deterministic models reach every maximum, and a correlator
+reads only the product of the groups' outputs, so each group answers with a
++/-1 function of its joint settings.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .pauli import PARITY_SIGNS
-from .statevector import MAX_QUBITS
+from .statevector import MAX_QUBITS, check_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .polynomials import MerminPolynomial
-
-# Correlations above this value cannot be reproduced by any hybrid model in
-# which at most two of the four parties share nonlocal resources; exceeding it
-# certifies genuine four-party nonlocality for the 4-qubit polynomials here.
-GENUINE_FOURPARTY_BOUND = 8.0
 
 
 def lr_bound_formula(n: int) -> float:
@@ -31,23 +28,32 @@ def lr_bound_formula(n: int) -> float:
     return float(2 ** (n // 2))
 
 
-def lr_bound_bruteforce(p: "MerminPolynomial") -> float:
-    """Exact LHV bound: maximize over all 4**n deterministic assignments.
+def _partitions(qubits: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every partition of ``qubits`` into groups of at most ``k``."""
+    for others in (c for size in range(min(k, len(qubits))) for c in combinations(qubits[1:], size)):
+        rest = tuple(q for q in qubits[1:] if q not in others)
+        yield from (((qubits[0], *others), *tail) for tail in (_partitions(rest, k) if rest else [()]))
 
-    An assignment is a pair of n-bit integers (ax, ay); bit q set means the
-    qubit answers -1 for that axis.  A term's product of outcomes is then
-    (-1)**popcount(ax & x_mask) * (-1)**popcount(ay & y_mask).
-    """
+
+def lr_bound_bruteforce(p: "MerminPolynomial", k: int = 1) -> float:
+    """Exact bound over hybrid models whose groups hold at most ``k`` qubits
+    (``k = 1``: local realism); a ``k`` that is not an int in [1, n] raises
+    ``ValueError``.  Each maximal partition (no two groups could merge)
+    contracts the other groups' +/-1 functions, first entry +1 as negating one
+    negates every sum, into the coefficients indexed by setting (1 for Y); the
+    largest group then takes the sum of |.| over its settings."""
     n = p.n
-    if n > MAX_QUBITS:
-        raise ValueError(f"brute force capped at n <= {MAX_QUBITS}, got {n}")
-    dim = 1 << n
-    full = dim - 1
-    idx = np.arange(dim)
-    values = np.zeros((dim, dim))
-    for coeff, s in p.terms:
-        ym = s.y_mask
-        sx = PARITY_SIGNS[idx & (full ^ ym)]
-        sy = PARITY_SIGNS[idx & ym]
-        values += coeff * np.outer(sx, sy)
-    return float(values.max())
+    if not 1 <= check_int("k", k) <= n <= MAX_QUBITS:
+        raise ValueError(f"need 1 <= k <= n <= {MAX_QUBITS}, got k = {k}, n = {n}")
+    coeffs = np.zeros((2,) * n)
+    for c, s in p.terms:
+        coeffs[tuple(int(a == "Y") for a in s.axes)] += c
+    best = 0.0
+    for groups in (sorted(g, key=len, reverse=True) for g in _partitions(tuple(range(n)), k)):
+        if len(groups) > 1 and len(groups[-1]) + len(groups[-2]) <= k:
+            continue
+        t = coeffs.transpose(sum(groups, ())).reshape([1 << len(g) for g in groups])
+        for w in (1 << len(g) for g in groups[1:]):
+            t = np.tensordot(t, 1 - 2 * ((np.arange(0, 1 << w, 2)[:, None] >> np.arange(w)) & 1), ([1], [1]))
+        best = max(best, float(np.abs(t).sum(axis=0).max()))
+    return best

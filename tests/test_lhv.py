@@ -1,12 +1,11 @@
-"""Brute-force local-realism bounds against the closed-form values."""
+"""Brute-force local-realism and hybrid-model bounds against the closed-form
+values and the genuine n-party claims they derive."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from merminsim import (
-    GENUINE_FOURPARTY_BOUND,
     PauliString,
     all_setup_configs,
     alsina_recursive,
@@ -29,10 +28,10 @@ def test_formula_rejects_single_qubit():
         lr_bound_formula(1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_bruteforce_matches_formula_exactly(n):
-    # Exhaustive search over all 4^n deterministic assignments; the
-    # optimum must be the closed-form bound with no floating slack.
+    # Exhaustive search over deterministic local strategies; the optimum
+    # must be the closed-form bound with no floating slack.
     assert lr_bound_bruteforce(mermin_direct(n)) == lr_bound_formula(n)
 
 
@@ -69,10 +68,47 @@ def test_quantum_to_classical_gap_is_at_least_two():
         assert config.qm_value / config.lr_bound >= 2.0 - 1e-12
 
 
-def test_fourparty_threshold_constant():
-    assert GENUINE_FOURPARTY_BOUND == 8.0
-    # The threshold sits strictly between the LR bound and the quantum value.
-    assert lr_bound_formula(4) < GENUINE_FOURPARTY_BOUND < 8 * np.sqrt(2)
+# Bounds over hybrid models whose groups hold at most k = 1 .. n - 1 qubits.
+HYBRID_BOUNDS = {
+    3: [2.0, 4.0],
+    4: [4.0, 8.0, 8.0],
+    5: [4.0, 8.0, 16.0, 16.0],
+}
+
+
+@pytest.mark.parametrize("config", all_setup_configs(), ids=lambda sc: f"{sc.n}q-{sc.setup.value}")
+def test_hybrid_bounds_for_every_k(config):
+    n, p = config.n, config.polynomial
+    assert [lr_bound_bruteforce(p, k) for k in range(1, n)] == HYBRID_BOUNDS[n]
+    # One group of every qubit reaches the sum of the coefficients' magnitudes.
+    assert lr_bound_bruteforce(p, n) == sum(abs(c) for c, _ in p.terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("build", [alsina_recursive, lambda n: primed(alsina_recursive(n))], ids=["a", "a-primed"])
+def test_recursive_builders_match_formula_exactly(build, n):
+    # With test_bruteforce_matches_formula_exactly (mermin_direct), every
+    # builder's k = 1 bound is the closed form at n = 3..8.
+    assert lr_bound_bruteforce(build(n), 1) == lr_bound_formula(n)
+
+
+def test_genuine_claim_cells_are_derived():
+    # A cell claims genuine n-party nonlocality iff its k = n - 1 bound lies
+    # below the QM value: 4q al and al-mod only, at 8, between their LR bound
+    # and QM value.  The markdown prints the bound, so it is a plain float.
+    claims = {}
+    for sc in all_setup_configs():
+        bound = _checked_setup(sc.n, sc.setup).genuine_bound
+        if bound is not None:
+            assert type(bound) is float and sc.lr_bound < bound < sc.qm_value
+            claims[(sc.n, sc.setup.value)] = bound
+    assert claims == {(4, "al"): 8.0, (4, "al-mod"): 8.0}
+
+
+@pytest.mark.parametrize("k", [0, -1, 4, 1.0, 2.5, "2", True, None])
+def test_group_size_outside_one_to_n_is_refused(k):
+    with pytest.raises(ValueError):
+        lr_bound_bruteforce(mermin_direct(3), k)
 
 
 def _estimator_lhv_max(n: int, setup: str, expanded: bool) -> float:
