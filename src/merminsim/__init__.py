@@ -24,7 +24,7 @@ from .harness import (
 )
 from .lhv import lr_bound_bruteforce, lr_bound_formula
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PauliString, apply_pauli, exact_expectation
+from .pauli import apply_pauli, exact_expectation
 from .polynomials import (
     EigencheckError,
     MerminPolynomial,
@@ -38,7 +38,6 @@ from .polynomials import (
 from .sampling import exchange_spread, polynomial_estimate_expanded, round_error
 from .statevector import (
     Gate,
-    Statevector,
     ghz_state,
     init_zero,
     probabilities,
@@ -68,7 +67,6 @@ __all__ = [
     "lr_bound_formula",
     "NoiseModel",
     "outcome_probabilities",
-    "PauliString",
     "apply_pauli",
     "exact_expectation",
     "EigencheckError",
@@ -83,7 +81,6 @@ __all__ = [
     "polynomial_estimate_expanded",
     "round_error",
     "Gate",
-    "Statevector",
     "ghz_state",
     "init_zero",
     "probabilities",

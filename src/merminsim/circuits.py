@@ -5,19 +5,27 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pauli import PauliString
+import numpy as np
+
+from .pauli import check_axes
 from .polynomials import MerminPolynomial, alsina_recursive, mermin_direct, optimal_ghz_phase, primed
-from .statevector import Gate, Record, Statevector, apply_gate_inplace, init_zero
+from .statevector import MAX_QUBITS, Gate, Record, apply_gate_inplace, check_int, check_items, init_zero
 
 
 class Circuit(Record):
+    """Gates on ``n`` qubits, applied in order: ``n`` an int in [1, MAX_QUBITS],
+    each gate a ``Gate`` on qubits below ``n``; anything else raises ``ValueError``."""
+
     __slots__ = ("n", "gates")
 
     def __init__(self, n: int, gates: tuple[Gate, ...]) -> None:
-        gates = tuple(gates)
+        n = check_int("circuit n", n)
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
+        gates = check_items("gates", gates)
         for g in gates:
-            if max(g.targets) >= n:
-                raise ValueError(f"gate {g.kind} targets {g.targets} but n={n}")
+            if type(g) is not Gate or max(g.targets) >= n:
+                raise ValueError(f"need Gate records on qubits below n={n}, got {g!r}")
         self._set(n, gates)
 
     def then(self, other: "Circuit") -> "Circuit":
@@ -38,23 +46,23 @@ def ghz_circuit(n: int, phase: float = 0.0) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def measurement_transform(p: PauliString) -> Circuit:
-    """Per-qubit basis rotation onto sigma_z: H for an X factor, S-dagger then
-    H for a Y factor.  Measuring z-parity afterwards realizes <p>."""
+def measurement_transform(axes: str) -> Circuit:
+    """Per-qubit basis rotation onto sigma_z (``check_axes`` axes): H for an X
+    factor, S-dagger then H for a Y factor.  Z-parity then realizes <axes>."""
     gates: list[Gate] = []
-    for q, axis in enumerate(p.axes):
+    for q, axis in enumerate(check_axes(axes)):
         if axis == "Y":
             gates.append(Gate("SDG", (q,)))
         gates.append(Gate("H", (q,)))
-    return Circuit(p.n, tuple(gates))
+    return Circuit(len(axes), tuple(gates))
 
 
-def run(c: Circuit) -> Statevector:
-    """Apply the circuit to |0...0>."""
-    state = init_zero(c.n)
+def run(c: Circuit) -> np.ndarray:
+    """The amplitudes of the circuit applied to |0...0>."""
+    amp = init_zero(c.n)
     for g in c.gates:
-        apply_gate_inplace(state.amplitudes, c.n, g)
-    return state
+        apply_gate_inplace(amp, c.n, g)
+    return amp
 
 
 class Setup(str, Enum):
@@ -69,12 +77,20 @@ class Setup(str, Enum):
 
 class SetupConfig(Record):
     """Everything one violation experiment needs: state phase, polynomial,
-    and the two bounds it is judged against."""
+    and the two bounds it is judged against.  ``setup`` is read as a ``Setup``; a
+    polynomial that is no ``MerminPolynomial`` on ``n`` qubits, or a ``ghz_phase``
+    other than its ``optimal_ghz_phase``, raises ``ValueError``."""
 
     __slots__ = ("n", "setup", "ghz_phase", "polynomial")
 
     def __init__(self, n: int, setup: Setup, ghz_phase: float, polynomial: MerminPolynomial) -> None:
-        self._set(n, setup, ghz_phase, polynomial)
+        setup = Setup(setup)
+        if not isinstance(polynomial, MerminPolynomial) or check_int("n", n) != polynomial.n:
+            raise ValueError(f"need a MerminPolynomial on n = {n} qubits, got {polynomial!r}")
+        phase = optimal_ghz_phase(polynomial)
+        if ghz_phase != phase:
+            raise ValueError(f"ghz_phase must be the polynomial's optimal phase {phase}, got {ghz_phase!r}")
+        self._set(polynomial.n, setup, phase, polynomial)
 
     @property
     def lr_bound(self) -> float:

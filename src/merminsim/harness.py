@@ -25,7 +25,7 @@ from .circuits import QUBIT_COUNTS, Setup, SetupConfig, all_setup_configs, ghz_c
 from .circuits import measurement_transform, run, setup_config
 from .lhv import lr_bound_bruteforce
 from .noise import NoiseModel, outcome_probabilities
-from .pauli import PARITY_SIGNS, PauliString, exact_expectation
+from .pauli import PARITY_SIGNS, exact_expectation
 from .polynomials import CHECK_TOL, EigencheckError, collapse, eigencheck
 from .sampling import (
     check_shots,
@@ -38,7 +38,7 @@ from .sampling import (
     polynomial_estimate_expanded,
     round_error,
 )
-from .statevector import Record, check_int, check_real, ghz_state, probabilities
+from .statevector import Record, check_int, check_items, check_real, ghz_state, probabilities
 
 SCHEMA_VERSION = 1
 # Entries per memo below; all 18 cells at three noise levels need 54 plans.
@@ -123,11 +123,11 @@ class ExperimentReport(Record):
     published rows are the checked catalog entry's (``_checked_setup``).
     Its terms state its run's plan entries in order (axes, coefficient,
     multiplicity, Y count), so every writer reads their frames from the
-    plan.  A report with other terms, a non-finite value or error, a
-    verdict other than ``VERDICT_VIOLATES`` or ``VERDICT_CONSISTENT``, or a
-    ``genuine_fourparty`` that is not a bool on a run whose cell states the
-    genuine n-party claim (``_Cell.genuine_bound``) and None on any other, is
-    refused with ``ValueError`` when it is built."""
+    plan.  A report with no ``ExperimentConfig``, other terms, a non-finite
+    value or error, a verdict other than ``VERDICT_VIOLATES`` or
+    ``VERDICT_CONSISTENT``, or a ``genuine_fourparty`` that is not a bool on a
+    run whose cell states the genuine n-party claim (``_Cell.genuine_bound``)
+    and None on any other, is refused with ``ValueError`` when it is built."""
 
     __slots__ = ("config", "terms", "value", "error", "verdict", "genuine_fourparty")
 
@@ -140,11 +140,15 @@ class ExperimentReport(Record):
         verdict: str,
         genuine_fourparty: bool | None,
     ) -> None:
+        if not isinstance(config, ExperimentConfig):
+            raise ValueError(f"config must be an ExperimentConfig, got {config!r}")
         cell = _checked_setup(config.qubits, config.setup)
         stated = cell.modes[config.expand_permutations].stated
-        terms = tuple(terms)
-        if tuple([(t.y_count, t.axes, t.coefficient, t.multiplicity) for t in terms]) != stated:
-            raise ValueError(f"terms must state the run's {len(stated)} planned terms in order")
+        terms = check_items("terms", terms)
+        # A term of another type drops out here, so its terms state no plan.
+        stating = [(t.y_count, t.axes, t.coefficient, t.multiplicity) for t in terms if type(t) is TermEstimate]
+        if tuple(stating) != stated:
+            raise ValueError(f"terms must be the TermEstimates of the run's {len(stated)} planned terms in order")
         value = check_real("result value", value, -math.inf)
         error = check_real("result error", error, 0.0)
         if verdict not in (VERDICT_VIOLATES, VERDICT_CONSISTENT):
@@ -225,10 +229,7 @@ def _plan_weights(
     its ``noise``) once and shares read-only arrays.  A plan with a
     distribution that fails its checks raises and is not memoised."""
     ghz = ghz_circuit(n, phase)
-    return tuple(
-        checked_weights(outcome_probabilities(ghz.then(measurement_transform(PauliString.from_str(a))), noise))
-        for a in axes
-    )
+    return tuple(checked_weights(outcome_probabilities(ghz.then(measurement_transform(a)), noise)) for a in axes)
 
 
 class _PlannedTerm(NamedTuple):
@@ -332,7 +333,7 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
         if not ok:
             raise InvariantError(f"{name}: FAIL ({detail})")
     poly, table = sc.polynomial, reference.device_results(sc.n, sc.setup.value)
-    terms = [{"axes": str(s), "coefficient": [c, 1]} for c, s in poly.terms]
+    terms = [{"axes": s, "coefficient": [c, 1]} for c, s in poly.terms]
     cell = {
         "ghz_phase": sc.ghz_phase,
         "lr_bound": sc.lr_bound,
@@ -352,7 +353,7 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
         )
         for cl in collapse(poly)
     )
-    every_term = tuple(_planned(str(s), c, 1, *cell_label, "term", str(s)) for c, s in poly.terms)
+    every_term = tuple(_planned(s, c, 1, *cell_label, "term", s) for c, s in poly.terms)
     genuine = lr_bound_bruteforce(poly, n - 1)
     return _Cell(
         sc,
@@ -709,14 +710,11 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
         worst = 0.0
         for cl in collapse(sc.polynomial):
             axes = "X" * (n - cl.y_count) + "Y" * cl.y_count
-            got = exact_expectation(state, PauliString.from_str(axes))
+            got = exact_expectation(state, axes)
             want = math.cos(sc.ghz_phase - cl.y_count * math.pi / 2)
             worst = max(worst, abs(got - want))
             closed_ok &= abs(got - want) <= CHECK_TOL
-            circuit = ghz_circuit(n, sc.ghz_phase).then(
-                measurement_transform(PauliString.from_str(axes))
-            )
-            probs = probabilities(run(circuit))
+            probs = probabilities(run(ghz_circuit(n, sc.ghz_phase).then(measurement_transform(axes))))
             parity = float(sum(p * s for p, s in zip(probs, PARITY_SIGNS)))
             worst = max(worst, abs(parity - got))
             closed_ok &= abs(parity - got) <= CHECK_TOL

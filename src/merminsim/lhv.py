@@ -47,7 +47,7 @@ def lr_bound_bruteforce(p: "MerminPolynomial", k: int = 1) -> float:
         raise ValueError(f"need 1 <= k <= n <= {MAX_QUBITS}, got k = {k}, n = {n}")
     coeffs = np.zeros((2,) * n)
     for c, s in p.terms:
-        coeffs[tuple(int(a == "Y") for a in s.axes)] += c
+        coeffs[tuple(int(a == "Y") for a in s)] += c
     best = 0.0
     for groups in (sorted(g, key=len, reverse=True) for g in _partitions(tuple(range(n)), k)):
         if len(groups) > 1 and len(groups[-1]) + len(groups[-2]) <= k:

@@ -1,19 +1,17 @@
-"""Tensor products of sigma_x/sigma_y, applied to statevectors without matrices.
+"""Pauli strings over sigma_x/sigma_y, applied to states without matrices.
 
-Every factor of such a string is off-diagonal, so the string maps basis index
-``j`` to ``j`` with all bits flipped, times a phase collected from the Y
-factors: sigma_y sends |0> to i|1> and |1> to -i|0>.  For Y factors at the
-positions of ``y_mask`` the amplitude picked up at index ``j`` is
-``(-i)**Y * (-1)**popcount(j & y_mask)``.
+A string is a plain ``str``, one 'X' or 'Y' per qubit (``check_axes``).  Its
+factors are off-diagonal, so it maps basis index ``j`` to ``j`` with all bits
+flipped, times a phase collected from the Y factors: sigma_y sends |0> to i|1>
+and |1> to -i|0>.  For Y factors at the positions of ``y_mask`` the amplitude
+picked up at index ``j`` is ``(-i)**Y * (-1)**popcount(j & y_mask)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Record, Statevector, qubit_bit
-
-_AXES = frozenset({"X", "Y"})
+from .statevector import MAX_QUBITS, check_state
 
 # (-i)**Y by Y mod 4; exact complex constants, no powers at runtime.
 _Y_PHASE = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -24,56 +22,24 @@ PARITY_SIGNS = np.array([(-1.0) ** bin(i).count("1") for i in range(1 << MAX_QUB
 PARITY_SIGNS.setflags(write=False)
 
 
-class PauliString(Record):
-    """A string over {X, Y}, one axis per qubit (no identity or Z factors)."""
-
-    __slots__ = ("axes",)
-
-    def __init__(self, axes: tuple[str, ...]) -> None:
-        axes = tuple(axes)
-        if not 1 <= len(axes) <= MAX_QUBITS:
-            raise ValueError(f"need 1 to {MAX_QUBITS} factors, got {len(axes)}")
-        bad = [a for a in axes if a not in _AXES]
-        if bad:
-            raise ValueError(f"axes must be 'X' or 'Y', got {bad}")
-        self._set(axes)
-
-    @classmethod
-    def from_str(cls, s: str) -> "PauliString":
-        return cls(tuple(s.upper()))
-
-    def __str__(self) -> str:
-        return "".join(self.axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def y_count(self) -> int:
-        return sum(1 for a in self.axes if a == "Y")
-
-    @property
-    def y_mask(self) -> int:
-        m = 0
-        for q, a in enumerate(self.axes):
-            if a == "Y":
-                m |= qubit_bit(self.n, q)
-        return m
+def check_axes(axes: str, n: int | None = None) -> str:
+    """``axes`` itself if it is a str of 1 to MAX_QUBITS factors (``n`` when
+    given), each 'X' or 'Y'; anything else raises ``ValueError``."""
+    ok = isinstance(axes, str) and 1 <= len(axes) <= MAX_QUBITS and not axes.strip("XY")
+    if not ok or n not in (None, len(axes)):
+        raise ValueError(f"axes must be {n or f'1 to {MAX_QUBITS}'} factors, each 'X' or 'Y', got {axes!r}")
+    return axes
 
 
-def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
-    """Return p|state>.  Raises ValueError on qubit-count mismatch."""
-    if state.n != p.n:
-        raise ValueError(f"state has {state.n} qubits but string has {p.n}")
-    dim = state.dim
-    idx = np.arange(dim)
-    signs = PARITY_SIGNS[idx & p.y_mask]
-    phase = _Y_PHASE[p.y_count % 4]
-    new = state.amplitudes[idx ^ (dim - 1)] * (phase * signs)
-    return Statevector(state.n, new)
+def apply_pauli(state: np.ndarray, axes: str) -> np.ndarray:
+    """The amplitudes of axes|state>.  Axes that ``check_axes`` refuses, or a
+    state that is not the amplitudes of their qubit count, raise ``ValueError``."""
+    amp = check_state(state, len(check_axes(axes)))
+    idx = np.arange(len(amp))
+    y_mask = int(axes.replace("X", "0").replace("Y", "1"), 2)
+    return amp[idx ^ (len(amp) - 1)] * (_Y_PHASE[axes.count("Y") % 4] * PARITY_SIGNS[idx & y_mask])
 
 
-def exact_expectation(state: Statevector, p: PauliString) -> float:
-    """<state| p |state>.  Hermiticity makes this real; the real part is returned."""
-    return float(np.real(np.vdot(state.amplitudes, apply_pauli(state, p).amplitudes)))
+def exact_expectation(state: np.ndarray, axes: str) -> float:
+    """<state| axes |state>.  Hermiticity makes this real; the real part is returned."""
+    return float(np.real(np.vdot(state, apply_pauli(state, axes))))

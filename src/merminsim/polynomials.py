@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
 
 from .lhv import lr_bound_formula
-from .pauli import PauliString, apply_pauli
-from .statevector import MAX_QUBITS, Record, Statevector, check_int, check_real
+from .pauli import apply_pauli, check_axes
+from .statevector import MAX_QUBITS, Record, check_int, check_items, check_real, check_state
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
 CHECK_TOL = 1e-10
 
-Term = tuple[int, PauliString]
+Term = tuple[int, str]
 
 
 class EigencheckError(ValueError):
@@ -38,25 +39,19 @@ class MerminPolynomial(Record):
     ``lr_bound`` is the maximum over local-realistic models and ``qm_value``
     the quantum maximum, both in the same normalization as ``terms``.  ``n``
     is read as an int >= 1 and both bounds as finite floats >= 0.  Each term
-    is stored as an ``(int, PauliString)`` tuple on ``n`` qubits, its
-    coefficient read as a plain int; anything else raises ``ValueError``.
+    is stored as an ``(int, str)`` tuple, its coefficient read as a plain int and
+    its axes as ``n`` factors (``check_axes``); anything else raises ``ValueError``.
     """
 
     __slots__ = ("n", "terms", "lr_bound", "qm_value")
 
     def __init__(self, n: int, terms: tuple[Term, ...], lr_bound: float, qm_value: float) -> None:
         n = check_int("n", n, 1)
-        pairs = []
-        for coeff, s in terms:
-            coeff = check_int("coefficient", coeff)
-            if not isinstance(s, PauliString):
-                raise ValueError(f"a term must pair its coefficient with a PauliString, got {type(s)}")
-            if s.n != n:
-                raise ValueError(f"term {s} has {s.n} qubits, polynomial has {n}")
-            pairs.append((coeff, s))
+        pairs = check_items("terms", terms, Sequence)
+        terms = tuple((check_int("coefficient", c), check_axes(s, n)) for c, s in pairs)
         lr_bound = check_real("lr_bound", lr_bound, 0.0)
         qm_value = check_real("qm_value", qm_value, 0.0)
-        self._set(n, tuple(pairs), lr_bound, qm_value)
+        self._set(n, terms, lr_bound, qm_value)
 
 
 class SymmetryClass(Record):
@@ -73,12 +68,6 @@ class SymmetryClass(Record):
         self._set(y_count, coefficient, multiplicity)
 
 
-def _canonical_terms(by_axes: dict[tuple[str, ...], int]) -> tuple[Term, ...]:
-    items = [(axes, c) for axes, c in by_axes.items() if c != 0]
-    items.sort(key=lambda it: (it[0].count("Y"), it[0]))
-    return tuple((c, PauliString(axes)) for axes, c in items)
-
-
 def ghz_coherence(terms: tuple[Term, ...]) -> complex:
     """M[0,N], N = 2**n - 1: the entry coupling |0...0> to |1...1>.  As
     <0|X|1> = 1 and <0|Y|1> = -i, it is the sum of coefficient * (-i)**Y.
@@ -88,7 +77,7 @@ def ghz_coherence(terms: tuple[Term, ...]) -> complex:
     is also their largest eigenvalue, the quantum value.  The float sum is
     exact, as the coefficients are small ints.
     """
-    return sum(float(c) * (1, -1j, -1, 1j)[s.y_count % 4] for c, s in terms)
+    return sum(float(c) * (1, -1j, -1, 1j)[s.count("Y") % 4] for c, s in terms)
 
 
 def optimal_ghz_phase(p: MerminPolynomial) -> float:
@@ -103,9 +92,10 @@ def optimal_ghz_phase(p: MerminPolynomial) -> float:
     return (4 if k == -4 else k) * math.pi / 4
 
 
-def _from_axes(n: int, by_axes: dict[tuple[str, ...], int]) -> MerminPolynomial:
-    """The polynomial with its closed-form LR bound and QM value |M[0,N]|."""
-    terms = _canonical_terms(by_axes)
+def _from_axes(n: int, by_axes: dict[str, int]) -> MerminPolynomial:
+    """The polynomial of the non-zero terms, ordered by Y count then axes,
+    with its closed-form LR bound and QM value |M[0,N]|."""
+    terms = tuple((c, s) for s, c in sorted(by_axes.items(), key=lambda it: (it[0].count("Y"), it[0])) if c)
     return MerminPolynomial(n, terms, lr_bound_formula(n), abs(ghz_coherence(terms)))
 
 
@@ -114,11 +104,11 @@ def mermin_direct(n: int) -> MerminPolynomial:
     coefficient (-1)**((Y-1)/2).  2**(n-1) terms; QM value |M[0,N]| = 2**(n-1)."""
     if not 3 <= n <= MAX_QUBITS:
         raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
-    by_axes: dict[tuple[str, ...], int] = {}
+    by_axes: dict[str, int] = {}
     for y in range(1, n + 1, 2):
         coeff = (-1) ** ((y - 1) // 2)
         for pos in combinations(range(n), y):
-            axes = tuple("Y" if q in pos else "X" for q in range(n))
+            axes = "".join("Y" if q in pos else "X" for q in range(n))
             by_axes[axes] = coeff
     return _from_axes(n, by_axes)
 
@@ -139,16 +129,16 @@ def alsina_recursive(n: int) -> MerminPolynomial:
     """
     if not 3 <= n <= MAX_QUBITS:
         raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
-    terms: dict[tuple[str, ...], int] = {("X",): 1}
+    terms: dict[str, int] = {"X": 1}
     for _ in range(n - 1):
-        swapped = {tuple("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
-        grown: dict[tuple[str, ...], int] = defaultdict(int)
+        swapped = {"".join("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
+        grown: dict[str, int] = defaultdict(int)
         for ax, c in terms.items():
-            grown[ax + ("X",)] += c
-            grown[ax + ("Y",)] += c
+            grown[ax + "X"] += c
+            grown[ax + "Y"] += c
         for ax, c in swapped.items():
-            grown[ax + ("X",)] += c
-            grown[ax + ("Y",)] -= c
+            grown[ax + "X"] += c
+            grown[ax + "Y"] -= c
         terms = {ax: c for ax, c in grown.items() if c != 0}
     scale = 2 ** (n - 1 - n // 2)
     return _from_axes(n, {ax: c // scale for ax, c in terms.items()})
@@ -169,7 +159,7 @@ def collapse(p: MerminPolynomial) -> list[SymmetryClass]:
     """
     groups: dict[int, list[int]] = defaultdict(list)
     for coeff, s in p.terms:
-        groups[s.y_count].append(coeff)
+        groups[s.count("Y")].append(coeff)
     classes = []
     for y in sorted(groups):
         coeffs = set(groups[y])
@@ -179,20 +169,18 @@ def collapse(p: MerminPolynomial) -> list[SymmetryClass]:
     return classes
 
 
-def eigencheck(p: MerminPolynomial, state: Statevector) -> float:
-    """Eigenvalue of p on an eigenstate.
+def eigencheck(p: MerminPolynomial, state: np.ndarray) -> float:
+    """Eigenvalue of p on an eigenstate, given as its amplitudes; a state of
+    another qubit count raises ``ValueError``.
 
     Applies the polynomial term by term and verifies ||p|s> - lam|s>|| stays
     below CHECK_TOL, where lam = <s|p|s>.  Raises EigencheckError with
     the residual norm otherwise.
     """
-    if state.n != p.n:
-        raise ValueError(f"state has {state.n} qubits but polynomial has {p.n}")
-    acc = np.zeros(state.dim, dtype=np.complex128)
-    for coeff, s in p.terms:
-        acc += coeff * apply_pauli(state, s).amplitudes
-    lam = float(np.real(np.vdot(state.amplitudes, acc)))
-    residual = float(np.linalg.norm(acc - lam * state.amplitudes))
+    amp = check_state(state, p.n)
+    acc = sum((coeff * apply_pauli(amp, s) for coeff, s in p.terms), np.zeros_like(amp))
+    lam = float(np.real(np.vdot(amp, acc)))
+    residual = float(np.linalg.norm(acc - lam * amp))
     if residual > CHECK_TOL:
         raise EigencheckError(residual)
     return lam

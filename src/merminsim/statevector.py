@@ -1,6 +1,5 @@
-"""Dense complex statevector with the small gate set needed for GHZ experiments.
-
-Conventions used throughout the package:
+"""Pure states, as plain amplitude arrays, and the small gate set needed for
+GHZ experiments.  Conventions used throughout the package:
 
 * Qubit 0 is the leftmost label in ``|b0 b1 ... b_{n-1}>`` and indexes the
   most significant bit of the amplitude array, so basis index ``k`` carries
@@ -58,6 +57,23 @@ def check_real(name: str, value: object, minimum: float, maximum: float = math.i
     if not minimum <= value <= maximum:
         raise ValueError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
     return float(value)
+
+
+def check_items(name: str, items: object, kind: type = object) -> tuple:
+    """A tuple or list of ``kind`` instances as a tuple; anything else raises ``ValueError``."""
+    if isinstance(items, (tuple, list)) and (kind is object or all(isinstance(item, kind) for item in items)):
+        return tuple(items)
+    raise ValueError(f"{name} must be a tuple or list of {kind.__name__} items, got {items!r}")
+
+
+def check_state(state: np.ndarray, n: int | None = None) -> np.ndarray:
+    """``state`` as a complex128 array of 2**n amplitudes, 1 <= n <= MAX_QUBITS, n read from
+    its length when not given; any other shape raises ``ValueError``."""
+    amp = np.asarray(state, dtype=np.complex128)
+    k = (len(amp) if amp.ndim == 1 else 0).bit_length() - 1 if n is None else n
+    if not (1 <= k <= MAX_QUBITS and amp.shape == (1 << k,)):
+        raise ValueError(f"a state is 2**n amplitudes, n = {n or f'1 to {MAX_QUBITS}'}, got shape {amp.shape}")
+    return amp
 
 
 class Record:
@@ -124,7 +140,7 @@ class Gate(Record):
     __slots__ = ("kind", "targets", "angle")
 
     def __init__(self, kind: str, targets: tuple[int, ...], angle: float | None = None) -> None:
-        targets = tuple(check_int("gate target", t, 0) for t in targets)
+        targets = tuple(check_int("gate target", t, 0) for t in check_items("gate targets", targets))
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         arity = 2 if kind == "CNOT" else 1
@@ -141,46 +157,23 @@ class Gate(Record):
         self._set(kind, targets, angle)
 
 
-class Statevector:
-    """n-qubit pure state: 2**n complex amplitudes indexed MSB-first.
-
-    A state is mutable and equals only itself; compare ``amplitudes`` (for
-    example with ``np.allclose``) to compare two states.
-    """
-
-    __slots__ = ("n", "amplitudes")
-
-    def __init__(self, n: int, amplitudes: np.ndarray) -> None:
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
-        amp = np.asarray(amplitudes, dtype=np.complex128)
-        if amp.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} amplitudes, got shape {amp.shape}")
-        self.n = n
-        self.amplitudes = amp
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-
-def init_zero(n: int) -> Statevector:
-    """The all-zeros computational basis state |00...0>."""
+def init_zero(n: int) -> np.ndarray:
+    """The amplitudes of the all-zeros computational basis state |00...0>."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[0] = 1.0
-    return Statevector(n, amp)
+    return amp
 
 
-def ghz_state(n: int, phase: float) -> Statevector:
-    """GHZ state (|0...0> + e^{i*phase}|1...1>)/sqrt(2), built directly."""
+def ghz_state(n: int, phase: float) -> np.ndarray:
+    """Amplitudes of GHZ state (|0...0> + e^{i*phase}|1...1>)/sqrt(2), built directly."""
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"need 2 <= n <= {MAX_QUBITS}, got {n}")
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[0] = _INV_SQRT2
     amp[-1] = _INV_SQRT2 * complex(math.cos(phase), math.sin(phase))
-    return Statevector(n, amp)
+    return amp
 
 
 def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
@@ -215,6 +208,6 @@ def apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate) -> None:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def probabilities(state: Statevector) -> np.ndarray:
-    """Measurement probabilities |amplitude|^2 over all basis outcomes."""
-    return np.abs(state.amplitudes) ** 2
+def probabilities(state: np.ndarray) -> np.ndarray:
+    """Measurement probabilities |amplitude|^2 over all outcomes of a checked state."""
+    return np.abs(check_state(state)) ** 2

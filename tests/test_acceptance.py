@@ -19,7 +19,6 @@ import pytest
 from merminsim import (
     ExperimentConfig,
     NoiseModel,
-    PauliString,
     all_setup_configs,
     alsina_recursive,
     collapse,
@@ -159,7 +158,7 @@ def test_criterion_5_error_propagation(verdict):
     # (b) The plug-in error tracks the real scatter within a factor of two.
     # Use a term whose expectation is not +-1 (XXXX on GHZ(4, -pi/4),
     # value sqrt(2)/2) so the outcome parity actually fluctuates.
-    circuit = ghz_circuit(4, -math.pi / 4).then(measurement_transform(PauliString.from_str("XXXX")))
+    circuit = ghz_circuit(4, -math.pi / 4).then(measurement_transform("XXXX"))
     weights = checked_weights(probabilities(run(circuit)))
     values, errors = parity_estimates(draw_counts([(weights, s) for s in range(100)], 16384), 16384)
     empirical = float(np.std(values, ddof=1))
@@ -181,7 +180,7 @@ def test_criterion_6_exchange_invariance(verdict):
     # (a) Exact expectations of the three single-Y permutations coincide.
     state = ghz_state(3, math.pi / 2)
     values = [
-        exact_expectation(state, PauliString.from_str(axes)) for axes in ("XXY", "XYX", "YXX")
+        exact_expectation(state, axes) for axes in ("XXY", "XYX", "YXX")
     ]
     for a, b in itertools.combinations(values, 2):
         if abs(a - b) > 1e-12:

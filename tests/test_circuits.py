@@ -10,7 +10,6 @@ import pytest
 from merminsim import (
     Circuit,
     Gate,
-    PauliString,
     Setup,
     all_setup_configs,
     exact_expectation,
@@ -26,7 +25,7 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 def _fidelity(a, b) -> float:
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    return abs(np.vdot(a, b)) ** 2
 
 
 def test_ghz_circuit_structure():
@@ -44,12 +43,12 @@ def test_ghz_circuit_prepares_exact_state(config):
     target = ghz_state(config.n, config.ghz_phase)
     assert _fidelity(prepared, target) >= 1.0 - 1e-10
     # Exactly the all-zeros and all-ones amplitudes are populated.
-    nonzero = np.flatnonzero(np.abs(prepared.amplitudes) > 1e-12)
-    assert list(nonzero) == [0, prepared.dim - 1]
+    nonzero = np.flatnonzero(np.abs(prepared) > 1e-12)
+    assert list(nonzero) == [0, len(prepared) - 1]
 
 
 def test_measurement_transform_gate_sequence():
-    circ = measurement_transform(PauliString.from_str("YYXX"))
+    circ = measurement_transform("YYXX")
     assert [(g.kind, g.targets[0]) for g in circ.gates] == [
         ("SDG", 0),
         ("H", 0),
@@ -68,18 +67,17 @@ def test_rotated_parity_reproduces_exact_expectation():
         n = config.n
         for _ in range(4):
             axes = "".join(rng.choice(["X", "Y"], size=n))
-            p = PauliString.from_str(axes)
-            circ = ghz_circuit(n, config.ghz_phase).then(measurement_transform(p))
+            circ = ghz_circuit(n, config.ghz_phase).then(measurement_transform(axes))
             probs = probabilities(run(circ))
             parities = np.array([(-1) ** bin(i).count("1") for i in range(2**n)])
             sampled_free = float(np.dot(probs, parities))
-            exact = exact_expectation(ghz_state(n, config.ghz_phase), p)
+            exact = exact_expectation(ghz_state(n, config.ghz_phase), axes)
             np.testing.assert_allclose(sampled_free, exact, atol=1e-10)
 
 
 def test_then_concatenates_circuits():
     a = ghz_circuit(3, 0.0)
-    b = measurement_transform(PauliString.from_str("XXY"))
+    b = measurement_transform("XXY")
     combined = a.then(b)
     assert combined.gates == a.gates + b.gates
     with pytest.raises(ValueError):
@@ -89,7 +87,7 @@ def test_then_concatenates_circuits():
 def test_relabelling_qubits_preserves_symmetric_ghz():
     # Relabelling qubits transposes the (2,)*n amplitude tensor (qubit q is
     # axis q); the GHZ state is symmetric under every such relabelling.
-    amp = run(ghz_circuit(4, np.pi / 2)).amplitudes
+    amp = run(ghz_circuit(4, np.pi / 2))
     shuffled = amp.reshape((2,) * 4).transpose((3, 1, 0, 2)).reshape(-1)
     assert abs(np.vdot(shuffled, amp)) ** 2 >= 1.0 - 1e-12
 

@@ -13,7 +13,7 @@ import pytest
 
 import merminsim
 from merminsim import ExperimentConfig, InvariantError, cli, harness, run_experiment
-from merminsim.circuits import QUBIT_COUNTS, SETUP_IDS, all_setup_configs, setup_config
+from merminsim.circuits import QUBIT_COUNTS, SETUP_IDS, SetupConfig, all_setup_configs, setup_config
 from merminsim.cli import main
 
 
@@ -243,7 +243,10 @@ def test_corrupted_catalog_entry_exits_two(field, monkeypatch, capsys):
     def corrupted(n, setup):
         sc = setup_config(n, setup)
         if field == "ghz_phase":
-            return sc._replace(ghz_phase=sc.ghz_phase + 0.3)
+            # SetupConfig refuses this phase, so set the fields past its checks.
+            bad = object.__new__(SetupConfig)
+            bad._set(sc.n, sc.setup, sc.ghz_phase + 0.3, sc.polynomial)
+            return bad
         poly = sc.polynomial._replace(**{field: getattr(sc.polynomial, field) + 1})
         return sc._replace(polynomial=poly)
 

@@ -34,7 +34,6 @@ from merminsim import (
     ExperimentConfig,
     ExperimentReport,
     NoiseModel,
-    PauliString,
     ghz_circuit,
     measurement_transform,
     outcome_probabilities,
@@ -85,7 +84,7 @@ def test_a_golden_term_is_drawn_from_its_stored_seed_by_the_documented_recipe():
     # to its counts; the estimate of those counts is the stored one.
     d = json.loads((DATA / "run_5q_al-mod_seed12345_p01.json").read_text())
     cfg, term = d["config"], d["terms"][1]
-    axes = PauliString.from_str(term["axes"])
+    axes = term["axes"]
     circuit = ghz_circuit(cfg["qubits"], d["ghz_phase"]).then(measurement_transform(axes))
     weights = checked_weights(outcome_probabilities(circuit, NoiseModel(**cfg["noise"])))
     digest = hashlib.sha256(b"merminsim pcg64\x1f" + str(term["seed"]).encode()).digest()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from merminsim import (
-    PauliString,
     all_setup_configs,
     alsina_recursive,
     lr_bound_bruteforce,
@@ -116,7 +115,7 @@ def _estimator_lhv_max(n: int, setup: str, expanded: bool) -> float:
     weighted by coefficient * multiplicity, as one polynomial."""
     sc = setup_config(n, setup)
     plan = _checked_setup(n, sc.setup).modes[expanded].plan
-    terms = tuple((p.coefficient * p.multiplicity, PauliString.from_str(p.axes)) for p in plan)
+    terms = tuple((p.coefficient * p.multiplicity, p.axes) for p in plan)
     return lr_bound_bruteforce(sc.polynomial._replace(terms=terms))
 
 

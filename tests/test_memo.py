@@ -12,7 +12,6 @@ import pytest
 from merminsim import (
     ExperimentConfig,
     NoiseModel,
-    PauliString,
     Setup,
     all_setup_configs,
     ghz_circuit,
@@ -108,7 +107,7 @@ def test_memoised_weights_draw_what_sample_shots_draws(noise):
     circuits = _measured_circuits(noise)
     assert len(circuits) == 92  # distinct circuits; the three 3-qubit setups share theirs
     for n, phase, axes in sorted(circuits):
-        circuit = ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
+        circuit = ghz_circuit(n, phase).then(measurement_transform(axes))
         want = checked_weights(outcome_probabilities(circuit, noise))
         assert np.array_equal(_plan_weights(n, phase, (axes,), noise)[0], want)
 

@@ -16,7 +16,6 @@ from merminsim import (
     ExperimentConfig,
     ExperimentReport,
     NoiseModel,
-    PauliString,
     all_setup_configs,
     collapse,
     ghz_circuit,
@@ -34,13 +33,13 @@ from merminsim.sampling import checked_weights, draw_counts
 
 
 def _measured_circuit(n: int, phase: float, axes: str) -> Circuit:
-    return ghz_circuit(n, phase).then(measurement_transform(PauliString.from_str(axes)))
+    return ghz_circuit(n, phase).then(measurement_transform(axes))
 
 
 def _measured_terms(config, expanded: bool) -> list[tuple[float, str]]:
     """(weight, axes) of every circuit one run measures, as in run_experiment."""
     if expanded:
-        return [(float(c), str(s)) for c, s in config.polynomial.terms]
+        return [(float(c), s) for c, s in config.polynomial.terms]
     n = config.n
     return [
         (float(cl.coefficient) * cl.multiplicity, "X" * (n - cl.y_count) + "Y" * cl.y_count)

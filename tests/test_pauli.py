@@ -8,32 +8,40 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli_matrix, random_state, random_symmetric_state
-from merminsim import PauliString, apply_pauli, exact_expectation, ghz_state
-from merminsim.pauli import PARITY_SIGNS
-from merminsim.statevector import MAX_QUBITS, Statevector
+from merminsim import apply_pauli, eigencheck, exact_expectation, ghz_state, mermin_direct
+from merminsim.pauli import PARITY_SIGNS, check_axes
+from merminsim.statevector import MAX_QUBITS
 
 
-def test_from_str_parses_axes():
-    p = PauliString.from_str("YXX")
-    assert p.axes == ("Y", "X", "X")
-    assert p.n == 3
-    assert p.y_count == 1
-    assert str(p) == "YXX"
+def test_check_axes_returns_valid_axes():
+    for axes in ("X", "YXX", "XY" * (MAX_QUBITS // 2)):
+        assert check_axes(axes) is axes
+    assert check_axes("XXY", 3) == "XXY"
 
 
-def test_from_str_rejects_other_letters():
+@pytest.mark.parametrize(
+    "axes",
+    ["", "XZ", "xy", "XY" * 4 + "X", ("X", "Y"), None],
+    ids=["empty", "Z", "lowercase", "nine", "tuple", "None"],
+)
+def test_check_axes_refuses_invalid_axes(axes):
     with pytest.raises(ValueError):
-        PauliString.from_str("XZY")
+        check_axes(axes)
+
+
+def test_check_axes_refuses_another_factor_count():
     with pytest.raises(ValueError):
-        PauliString.from_str("")
+        check_axes("XXY", 4)
 
 
 def test_y_mask_matches_bit_convention():
-    # Qubit 0 is the most significant bit, so a Y on qubit 0 of three
-    # qubits sets bit 4.
-    assert PauliString.from_str("YXX").y_mask == 4
-    assert PauliString.from_str("XXY").y_mask == 1
-    assert PauliString.from_str("YYY").y_mask == 7
+    # Qubit 0 is the most significant bit, so a Y on qubit 0 of three qubits
+    # signs by bit 4 (y_mask 4) the basis index each amplitude lands on.
+    for axes, y_mask in (("YXX", 4), ("XXY", 1), ("YYY", 7)):
+        for j in range(8):
+            expected = np.zeros(8, dtype=complex)
+            expected[j ^ 7] = (-1j) ** axes.count("Y") * (-1) ** bin((j ^ 7) & y_mask).count("1")
+            np.testing.assert_allclose(apply_pauli(np.eye(8)[j], axes), expected, atol=1e-15)
 
 
 def test_parity_signs_are_minus_one_to_the_popcount():
@@ -46,23 +54,20 @@ def test_parity_signs_are_minus_one_to_the_popcount():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_apply_pauli_matches_dense_oracle(n):
     rng = np.random.default_rng(300 + n)
-    for axes in itertools.product("XY", repeat=n):
-        p = PauliString(axes)
-        dense = dense_pauli_matrix("".join(axes))
+    for axes in map("".join, itertools.product("XY", repeat=n)):
         amp = random_state(n, rng)
-        fast = apply_pauli(Statevector(n, amp.copy()), p).amplitudes
-        np.testing.assert_allclose(fast, dense @ amp, atol=1e-12)
+        fast = apply_pauli(amp.copy(), axes)
+        np.testing.assert_allclose(fast, dense_pauli_matrix(axes) @ amp, atol=1e-12)
 
 
 def test_apply_pauli_is_involutive():
     rng = np.random.default_rng(310)
     for n in (2, 3, 5):
         for _ in range(20):
-            axes = tuple(rng.choice(["X", "Y"], size=n))
-            p = PauliString(axes)
+            axes = "".join(rng.choice(["X", "Y"], size=n))
             amp = random_state(n, rng)
-            twice = apply_pauli(apply_pauli(Statevector(n, amp.copy()), p), p)
-            np.testing.assert_allclose(twice.amplitudes, amp, atol=1e-12)
+            twice = apply_pauli(apply_pauli(amp.copy(), axes), axes)
+            np.testing.assert_allclose(twice, amp, atol=1e-12)
 
 
 def test_expectation_is_real_on_random_states():
@@ -72,10 +77,9 @@ def test_expectation_is_real_on_random_states():
     cases = 0
     for n in (2, 3, 4, 5):
         for _ in range(30):
-            axes = tuple(rng.choice(["X", "Y"], size=n))
-            state = Statevector(n, random_state(n, rng))
-            applied = apply_pauli(state, PauliString(axes))
-            raw = np.vdot(state.amplitudes, applied.amplitudes)
+            axes = "".join(rng.choice(["X", "Y"], size=n))
+            state = random_state(n, rng)
+            raw = np.vdot(state, apply_pauli(state, axes))
             assert abs(raw.imag) < 1e-12
             cases += 1
     assert cases >= 100
@@ -86,11 +90,11 @@ def test_expectation_invariant_on_symmetric_states():
     # multiset of axes gives the same expectation value.
     rng = np.random.default_rng(330)
     for n in (3, 4):
-        state = Statevector(n, random_symmetric_state(n, rng))
+        state = random_symmetric_state(n, rng)
         for y in range(n + 1):
             base = "X" * (n - y) + "Y" * y
             values = {
-                round(exact_expectation(state, PauliString(perm)), 12)
+                round(exact_expectation(state, "".join(perm)), 12)
                 for perm in set(itertools.permutations(base))
             }
             assert len(values) == 1
@@ -113,9 +117,8 @@ def test_ghz_expectation_closed_form(n, phase):
     ]
     strings += ["".join(rng.choice(["X", "Y"], size=n)) for _ in range(6)]
     for axes in strings:
-        p = PauliString.from_str(axes)
-        expected = np.cos(phase - p.y_count * np.pi / 2)
-        np.testing.assert_allclose(exact_expectation(state, p), expected, atol=1e-10)
+        expected = np.cos(phase - axes.count("Y") * np.pi / 2)
+        np.testing.assert_allclose(exact_expectation(state, axes), expected, atol=1e-10)
 
 
 def test_ghz_closed_form_matches_dense_oracle():
@@ -123,14 +126,28 @@ def test_ghz_closed_form_matches_dense_oracle():
     for n in (3, 4):
         phase = float(rng.uniform(-np.pi, np.pi))
         state = ghz_state(n, phase)
-        for axes in itertools.product("XY", repeat=n):
-            dense = dense_pauli_matrix("".join(axes))
-            expected = np.vdot(state.amplitudes, dense @ state.amplitudes).real
-            got = exact_expectation(state, PauliString(axes))
+        for axes in map("".join, itertools.product("XY", repeat=n)):
+            expected = np.vdot(state, dense_pauli_matrix(axes) @ state).real
+            got = exact_expectation(state, axes)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_apply_pauli_dimension_mismatch():
     state = ghz_state(3, 0.0)
     with pytest.raises(ValueError):
-        apply_pauli(state, PauliString.from_str("XX"))
+        apply_pauli(state, "XX")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.zeros(4), np.zeros(9), np.zeros(16), np.zeros((8, 1)), np.zeros((2, 2, 2)), 1.0],
+    ids=["2q", "9", "4q", "column", "cube", "scalar"],
+)
+def test_state_functions_refuse_an_array_of_the_wrong_shape(state):
+    # A state of three qubits is 8 amplitudes, nothing else.
+    with pytest.raises(ValueError):
+        apply_pauli(state, "XXY")
+    with pytest.raises(ValueError):
+        exact_expectation(state, "XXY")
+    with pytest.raises(ValueError):
+        eigencheck(mermin_direct(3), state)

@@ -13,7 +13,6 @@ from merminsim import (
     ExperimentConfig,
     ExperimentReport,
     MerminPolynomial,
-    PauliString,
     SymmetryClass,
     alsina_recursive,
     collapse,
@@ -27,7 +26,7 @@ from merminsim import (
     run_experiment,
 )
 from merminsim.polynomials import CHECK_TOL, ghz_coherence, optimal_ghz_phase
-from merminsim.statevector import MAX_QUBITS, Statevector
+from merminsim.statevector import MAX_QUBITS
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -36,11 +35,11 @@ SQRT2 = float(np.sqrt(2.0))
 def test_direct_construction_term_count_and_signs(n):
     poly = mermin_direct(n)
     assert len(poly.terms) == 2 ** (n - 1)
-    for coeff, pauli in poly.terms:
-        assert pauli.y_count % 2 == 1
-        assert coeff == (-1) ** ((pauli.y_count - 1) // 2)
+    for coeff, axes in poly.terms:
+        assert axes.count("Y") % 2 == 1
+        assert coeff == (-1) ** ((axes.count("Y") - 1) // 2)
     # Every odd-Y string appears exactly once.
-    assert len({p.axes for _, p in poly.terms}) == len(poly.terms)
+    assert len({axes for _, axes in poly.terms}) == len(poly.terms)
 
 
 def test_recursive_equals_direct_for_three_qubits():
@@ -124,8 +123,8 @@ def test_eigencheck_rejects_non_eigenstates():
 
 def test_collapse_rejects_mixed_coefficients_in_a_class():
     terms = (
-        (1, PauliString.from_str("XXY")),
-        (-1, PauliString.from_str("XYX")),
+        (1, "XXY"),
+        (-1, "XYX"),
     )
     poly = MerminPolynomial(3, terms, lr_bound=2.0, qm_value=4.0)
     with pytest.raises(ValueError):
@@ -142,7 +141,7 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
     for poly in polys:
         n = poly.n
         for _ in range(34):
-            state = Statevector(n, random_symmetric_state(n, rng))
+            state = random_symmetric_state(n, rng)
             full = sum(
                 float(c) * exact_expectation(state, p) for c, p in poly.terms
             )
@@ -150,7 +149,7 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
                 float(cls.coefficient)
                 * cls.multiplicity
                 * exact_expectation(
-                    state, PauliString.from_str("X" * (n - cls.y_count) + "Y" * cls.y_count)
+                    state, "X" * (n - cls.y_count) + "Y" * cls.y_count
                 )
                 for cls in collapse(poly)
             )
@@ -168,11 +167,22 @@ def test_polynomial_stores_each_term_as_a_tuple_pair():
     assert copy == p and hash(copy) == hash(p)
 
 
-@pytest.mark.parametrize("second", ["XXY", ("X", "X", "Y"), None], ids=["str", "tuple", "none"])
+@pytest.mark.parametrize(
+    "second",
+    ["XYZ", ("X", "X", "Y"), None, "xxy", "XY", "XXYX"],
+    ids=["str", "tuple", "none", "lowercase", "short", "long"],
+)
 def test_polynomial_refuses_a_term_without_a_pauli_string(second):
-    # s.n used to raise AttributeError here.
-    with pytest.raises(ValueError, match="PauliString"):
+    # A term pairs its coefficient with the str of its n axes, which
+    # check_axes checks.
+    with pytest.raises(ValueError, match="axes"):
         MerminPolynomial(3, [(1, second)], lr_bound=2.0, qm_value=1.0)
+
+
+@pytest.mark.parametrize("terms", [None, 5, [None], [(1,)], [(1, "XXY", 1)]], ids=str)
+def test_polynomial_refuses_terms_that_are_no_pairs(terms):
+    with pytest.raises(ValueError):
+        MerminPolynomial(3, terms, lr_bound=2.0, qm_value=4.0)
 
 
 def test_polynomial_reads_int_bounds_and_numpy_n_as_plain_numbers():
@@ -198,7 +208,7 @@ def test_polynomial_serialization_round_trip():
         stored = payload["polynomial"]
         again = MerminPolynomial(
             stored["n"],
-            tuple((t["coefficient"][0], PauliString.from_str(t["axes"])) for t in stored["terms"]),
+            tuple((t["coefficient"][0], t["axes"]) for t in stored["terms"]),
             stored["lr_bound"],
             stored["qm_value"],
         )
@@ -231,13 +241,13 @@ def test_ghz_coherence_gives_every_builders_phase_and_bounds():
             assert abs(eigencheck(poly, ghz_state(n, phase)) - poly.qm_value) <= CHECK_TOL, (name, n)
             rule = float(2 ** (n - 1)) * (SQRT2 if name != "direct" and n % 2 == 0 else 1.0)
             assert poly.qm_value == rule, (name, n)
-            dense = sum(float(c) * dense_pauli_matrix(str(s)) for c, s in poly.terms)
+            dense = sum(float(c) * dense_pauli_matrix(s) for c, s in poly.terms)
             assert np.flatnonzero(dense).tolist() == [(1 << n) - 1, ((1 << n) - 1) << n], (name, n)
             assert dense[0, -1] == ghz_coherence(poly.terms), (name, n)
             assert abs(np.linalg.eigvalsh(dense)[-1] - poly.qm_value) <= CHECK_TOL, (name, n)
             assert lr_bound_bruteforce(poly) == poly.lr_bound, (name, n)
             assert all(type(c) is int and c in (-1, 1) for c, _ in poly.terms), (name, n)
-        assert {str(s): c for c, s in alsina_recursive(n).terms} == rational_alsina_terms(n), n
+        assert {s: c for c, s in alsina_recursive(n).terms} == rational_alsina_terms(n), n
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -249,6 +259,6 @@ def test_builders_reject_fewer_than_three_qubits(n):
 
 def test_optimal_ghz_phase_rejects_a_phase_off_the_pi_over_4_grid():
     # M[0,N] = 1 - 2i has an argument that is no multiple of pi/4.
-    terms = ((1, PauliString.from_str("XXX")), (2, PauliString.from_str("XXY")))
+    terms = ((1, "XXX"), (2, "XXY"))
     with pytest.raises(ValueError, match="not a multiple of pi/4"):
         optimal_ghz_phase(MerminPolynomial(3, terms, lr_bound=3.0, qm_value=math.sqrt(5.0)))

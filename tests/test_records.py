@@ -16,16 +16,17 @@ import pytest
 
 import merminsim
 from merminsim import (
+    Circuit,
     ExperimentConfig,
+    ExperimentReport,
     Gate,
     MerminPolynomial,
     NoiseModel,
-    PauliString,
+    SetupConfig,
     SymmetryClass,
     TermEstimate,
     collapse,
     ghz_circuit,
-    ghz_state,
     mermin_direct,
     run_experiment,
     setup_config,
@@ -37,13 +38,11 @@ def _report():
     return run_experiment(ExperimentConfig(qubits=3, setup="mermin", shots=100))
 
 
-# Each record with a factory for one instance and a change its constructor
-# refuses (None for SetupConfig, which takes its fields as given).
+# Each record with a factory for one instance and a change its constructor refuses.
 RECORDS = [
     pytest.param(lambda: Gate("PHASE", (0,), 0.5), {"kind": "T"}, id="Gate"),
     pytest.param(lambda: ghz_circuit(3), {"n": 2}, id="Circuit"),
-    pytest.param(lambda: setup_config(4, "al"), None, id="SetupConfig"),
-    pytest.param(lambda: PauliString.from_str("XXY"), {"axes": ("Z",)}, id="PauliString"),
+    pytest.param(lambda: setup_config(4, "al"), {"ghz_phase": 0.0}, id="SetupConfig"),
     pytest.param(lambda: mermin_direct(3), {"n": 4}, id="MerminPolynomial"),
     pytest.param(lambda: collapse(mermin_direct(3))[1], {"multiplicity": 0}, id="SymmetryClass"),
     pytest.param(lambda: NoiseModel(0.01, 0.02, 0.03), {"p1": 2.0}, id="NoiseModel"),
@@ -71,9 +70,8 @@ def test_record_contract(make, bad):
     assert record != values and record.__eq__(values) is NotImplemented
     assert pickle.loads(pickle.dumps(record)) == record
     assert record._replace() == record
-    if bad is not None:
-        with pytest.raises(ValueError):
-            record._replace(**bad)
+    with pytest.raises(ValueError):
+        record._replace(**bad)
 
 
 def test_record_repr_names_every_field():
@@ -145,7 +143,7 @@ def test_sequence_fields_are_stored_as_tuples(make, field):
         lambda: SymmetryClass(1, Fraction(1), 1),
         lambda: SymmetryClass(1, 1, 0),
         lambda: SymmetryClass(1, 1, True),
-        lambda: MerminPolynomial(3, [(Fraction(1), PauliString.from_str("XXY"))], 2.0, 1.0),
+        lambda: MerminPolynomial(3, [(Fraction(1), "XXY")], 2.0, 1.0),
         lambda: mermin_direct(3)._replace(n=3.0),
         lambda: mermin_direct(3)._replace(lr_bound="x"),
         lambda: mermin_direct(3)._replace(qm_value=None),
@@ -178,8 +176,70 @@ def test_term_and_class_read_numpy_integers_as_plain_ints():
     assert {type(v) for v in fields} == {int}
 
 
-def test_states_compare_by_identity():
-    # Two equal states are distinct mutable buffers; compare amplitudes.
-    a, b = ghz_state(3, 0.0), ghz_state(3, 0.0)
-    assert (a == a) is True and (a == b) is False
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+@pytest.mark.parametrize(
+    "n, gates",
+    [
+        (3.5, (Gate("H", (0,)),)),
+        (True, ()),
+        (0, ()),
+        (99, ()),
+        ("3", ()),
+        (3, (("H", (0,)),)),
+        (3, None),
+    ],
+    ids=["float-n", "bool-n", "zero-n", "large-n", "str-n", "tuple-gate", "no-gates"],
+)
+def test_circuit_fields_are_checked(n, gates):
+    # The first four used to build; the rest raised TypeError or AttributeError.
+    with pytest.raises(ValueError):
+        Circuit(n, gates)
+
+
+def test_circuit_reads_a_numpy_n_as_a_plain_int():
+    circuit = Circuit(np.int64(2), [Gate("H", (1,))])
+    assert circuit == Circuit(2, (Gate("H", (1,)),)) and type(circuit.n) is int
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExperimentReport(None, (), 0.0, 0.0, "VIOLATES_LR", None),
+        lambda: (r := _report())._replace(terms=tuple(t._values for t in r.terms)),
+        lambda: _report()._replace(terms=None),
+        lambda: Gate("H", 0),
+        lambda: MerminPolynomial(3, None, 2.0, 4.0),
+        lambda: MerminPolynomial(3, [None], 2.0, 4.0),
+    ],
+    ids=["report-config-none", "report-term-tuple", "report-terms-none", "gate-targets-int", "polynomial-terms-none",
+         "polynomial-term-none"],
+)
+def test_constructors_refuse_a_wrong_container_or_element_type(build):
+    # These raised AttributeError or TypeError, not the ValueError of any
+    # other refused field.
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "n, setup, phase, poly",
+    [
+        (3, "mermin", 0.1, None),
+        (3, "mermin", math.pi / 2, None),
+        (4, "mermin", math.pi / 2, mermin_direct(3)),
+        (3.0, "mermin", math.pi / 2, mermin_direct(3)),
+        (3, "mermin", 0.0, mermin_direct(3)),
+        (3, "mermin", None, mermin_direct(3)),
+        (3, "bogus", math.pi / 2, mermin_direct(3)),
+        (3, None, math.pi / 2, mermin_direct(3)),
+    ],
+    ids=["none-and-phase", "no-polynomial", "other-n", "float-n", "other-phase", "no-phase", "bad-setup", "no-setup"],
+)
+def test_setup_config_fields_are_checked(n, setup, phase, poly):
+    with pytest.raises(ValueError):
+        SetupConfig(n, setup, phase, poly)
+
+
+def test_setup_config_reads_a_setup_id_as_its_member():
+    sc = setup_config(4, "al")
+    assert SetupConfig(np.int64(4), "al", sc.ghz_phase, sc.polynomial) == sc
+    assert type(SetupConfig(4, "al", sc.ghz_phase, sc.polynomial).n) is int

@@ -87,7 +87,7 @@ def oracle(report: ExperimentReport) -> dict:
         "ghz_phase": sc.ghz_phase,
         "polynomial": {
             "n": poly.n,
-            "terms": [{"axes": str(s), "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms],
+            "terms": [{"axes": s, "coefficient": [c.numerator, c.denominator]} for c, s in poly.terms],
             "lr_bound": poly.lr_bound,
             "qm_value": poly.qm_value,
         },

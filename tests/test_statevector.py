@@ -9,24 +9,23 @@ from conftest import dense_circuit_matrix, dense_gate_matrix, random_state
 from merminsim import Circuit, Gate, ghz_state, init_zero, probabilities, run
 from merminsim.statevector import (
     MAX_QUBITS,
-    Statevector,
     apply_gate_inplace,
     qubit_bit,
 )
 
 
-def _apply(state: Statevector, gate: Gate) -> Statevector:
+def _apply(state: np.ndarray, gate: Gate) -> np.ndarray:
     """A new state with one gate applied; the input is left untouched."""
-    amp = state.amplitudes.copy()
-    apply_gate_inplace(amp, state.n, gate)
-    return Statevector(state.n, amp)
+    amp = np.array(state, dtype=complex)
+    apply_gate_inplace(amp, len(amp).bit_length() - 1, gate)
+    return amp
 
 
 def test_init_zero_is_all_zeros_ket():
     state = init_zero(3)
-    assert state.n == 3
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
+    assert state.shape == (8,) and state.dtype == np.complex128
+    assert state[0] == 1.0
+    assert np.all(state[1:] == 0.0)
 
 
 @pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1])
@@ -44,48 +43,46 @@ def test_qubit_bit_is_msb_first():
 
 def test_cnot_truth_table():
     # |10> -> |11> with control on qubit 0.
-    state = _apply(Statevector(2, [0, 0, 1, 0]), Gate("CNOT", (0, 1)))
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
+    state = _apply([0, 0, 1, 0], Gate("CNOT", (0, 1)))
+    np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-12)
     # Control clear: |01> stays |01>.
-    state = _apply(Statevector(2, [0, 1, 0, 0]), Gate("CNOT", (0, 1)))
-    np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-12)
+    state = _apply([0, 1, 0, 0], Gate("CNOT", (0, 1)))
+    np.testing.assert_allclose(state, [0, 1, 0, 0], atol=1e-12)
 
 
 def test_hadamard_twice_is_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         amp = random_state(3, rng)
-        state = Statevector(3, amp.copy())
+        state = amp
         for q in range(3):
             state = _apply(_apply(state, Gate("H", (q,))), Gate("H", (q,)))
-        np.testing.assert_allclose(state.amplitudes, amp, atol=1e-12)
+        np.testing.assert_allclose(state, amp, atol=1e-12)
 
 
 def test_s_and_sdg_are_inverses():
     rng = np.random.default_rng(12)
     amp = random_state(2, rng)
-    state = Statevector(2, amp.copy())
-    state = _apply(_apply(state, Gate("S", (1,))), Gate("SDG", (1,)))
-    np.testing.assert_allclose(state.amplitudes, amp, atol=1e-12)
+    state = _apply(_apply(amp, Gate("S", (1,))), Gate("SDG", (1,)))
+    np.testing.assert_allclose(state, amp, atol=1e-12)
 
 
 def test_phase_half_pi_matches_s_gate():
     rng = np.random.default_rng(13)
     for _ in range(100):
         amp = random_state(2, rng)
-        via_s = _apply(Statevector(2, amp.copy()), Gate("S", (0,)))
-        via_phase = _apply(Statevector(2, amp.copy()), Gate("PHASE", (0,), np.pi / 2))
-        np.testing.assert_allclose(via_s.amplitudes, via_phase.amplitudes, atol=1e-12)
+        via_s = _apply(amp, Gate("S", (0,)))
+        via_phase = _apply(amp, Gate("PHASE", (0,), np.pi / 2))
+        np.testing.assert_allclose(via_s, via_phase, atol=1e-12)
 
 
 def test_sdg_then_h_on_plus_i_eigenstate():
     # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of sigma_y; rotating it
     # into the computational basis must land on |0>.
     amp = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-    state = Statevector(1, amp)
-    state = _apply(state, Gate("SDG", (0,)))
+    state = _apply(amp, Gate("SDG", (0,)))
     state = _apply(state, Gate("H", (0,)))
-    np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-12)
+    np.testing.assert_allclose(state, [1, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["H", "S", "SDG"])
@@ -97,7 +94,7 @@ def test_single_qubit_gates_match_dense_oracle(kind, n):
         dense = dense_gate_matrix(gate, n)
         for _ in range(5):
             amp = random_state(n, rng)
-            fast = _apply(Statevector(n, amp.copy()), gate).amplitudes
+            fast = _apply(amp, gate)
             np.testing.assert_allclose(fast, dense @ amp, atol=1e-12)
 
 
@@ -109,7 +106,7 @@ def test_phase_and_cnot_match_dense_oracle(n):
     for gate in gates:
         dense = dense_gate_matrix(gate, n)
         amp = random_state(n, rng)
-        fast = _apply(Statevector(n, amp.copy()), gate).amplitudes
+        fast = _apply(amp, gate)
         np.testing.assert_allclose(fast, dense @ amp, atol=1e-12)
 
 
@@ -128,8 +125,8 @@ def test_random_circuit_matches_dense_oracle():
             else:
                 gates.append(Gate(str(kind), (int(rng.integers(n)),)))
         circuit = Circuit(n, tuple(gates))
-        fast = run(circuit).amplitudes
-        dense = dense_circuit_matrix(circuit) @ init_zero(n).amplitudes
+        fast = run(circuit)
+        dense = dense_circuit_matrix(circuit) @ init_zero(n)
         np.testing.assert_allclose(fast, dense, atol=1e-11)
         assert abs(np.linalg.norm(fast) - 1.0) < 1e-12
 
@@ -137,8 +134,7 @@ def test_random_circuit_matches_dense_oracle():
 def test_ghz_state_amplitudes():
     for n in (3, 4, 5):
         for phase in (0.0, np.pi / 2, -np.pi / 4, np.pi):
-            state = ghz_state(n, phase)
-            amp = state.amplitudes
+            amp = ghz_state(n, phase)
             np.testing.assert_allclose(amp[0], 1 / np.sqrt(2), atol=1e-12)
             np.testing.assert_allclose(amp[-1], np.exp(1j * phase) / np.sqrt(2), atol=1e-12)
             assert np.all(amp[1:-1] == 0.0)
@@ -146,11 +142,20 @@ def test_ghz_state_amplitudes():
 
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(5)
-    state = Statevector(3, random_state(3, rng))
-    probs = probabilities(state)
+    probs = probabilities(random_state(3, rng))
     assert probs.shape == (8,)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
     assert np.all(probs >= 0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.zeros(0), np.zeros(1), np.zeros(6), np.zeros(2 << MAX_QUBITS), np.zeros((4, 4)), 1.0],
+    ids=["empty", "one", "six", "past-max", "matrix", "scalar"],
+)
+def test_probabilities_refuse_what_is_no_state(state):
+    with pytest.raises(ValueError):
+        probabilities(state)
 
 
 def test_gate_validation():
