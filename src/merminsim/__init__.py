@@ -28,7 +28,6 @@ from .pauli import apply_pauli, exact_expectation
 from .polynomials import (
     EigencheckError,
     MerminPolynomial,
-    SymmetryClass,
     alsina_recursive,
     collapse,
     eigencheck,
@@ -71,7 +70,6 @@ __all__ = [
     "exact_expectation",
     "EigencheckError",
     "MerminPolynomial",
-    "SymmetryClass",
     "alsina_recursive",
     "collapse",
     "eigencheck",

@@ -9,7 +9,7 @@ import numpy as np
 
 from .pauli import check_axes
 from .polynomials import MerminPolynomial, alsina_recursive, mermin_direct, optimal_ghz_phase, primed
-from .statevector import MAX_QUBITS, Gate, Record, apply_gate_inplace, check_int, check_items, init_zero
+from .statevector import Gate, Record, apply_gate_inplace, check_int, check_items, check_qubits, init_zero
 
 
 class Circuit(Record):
@@ -19,9 +19,7 @@ class Circuit(Record):
     __slots__ = ("n", "gates")
 
     def __init__(self, n: int, gates: tuple[Gate, ...]) -> None:
-        n = check_int("circuit n", n)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
+        n = check_qubits(n, 1)
         gates = check_items("gates", gates)
         for g in gates:
             if type(g) is not Gate or max(g.targets) >= n:
@@ -37,8 +35,7 @@ class Circuit(Record):
 def ghz_circuit(n: int, phase: float = 0.0) -> Circuit:
     """H on qubit 0, PHASE(phase) on qubit 0 (omitted when zero), then a CNOT
     chain 0->1->...->n-1: prepares (|0...0> + e^{i*phase}|1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError(f"GHZ needs n >= 2, got {n}")
+    n = check_qubits(n, 2)
     gates: list[Gate] = [Gate("H", (0,))]
     if phase != 0.0:
         gates.append(Gate("PHASE", (0,), float(phase)))
@@ -110,7 +107,7 @@ def setup_config(n: int, setup: Setup | str) -> SetupConfig:
     """The nine supported (qubits, setup) combinations at their optimal GHZ
     phases.  All three setup ids coincide for n=3, where the recursion
     reproduces the direct polynomial."""
-    setup = Setup(setup)
+    setup, n = Setup(setup), check_int("n", n)
     if n not in QUBIT_COUNTS:
         raise ValueError(f"unsupported combination: {n} qubits, setup {setup.value!r}")
     if n == 3 or setup is Setup.MERMIN:

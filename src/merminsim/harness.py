@@ -176,7 +176,7 @@ class ExperimentReport(Record):
         ``ValueError``."""
         try:
             if d.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
+                raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
             cfg, result = _mapping(d, "config"), _mapping(d, "result")
             noise = _mapping(cfg, "noise")
             config = ExperimentConfig(
@@ -188,16 +188,13 @@ class ExperimentReport(Record):
                 expand_permutations=cfg["expand_permutations"],
                 violation_sigmas=cfg["violation_sigmas"],
             )
-            plan = _plan(config)
+            stated = _checked_setup(config.qubits, config.setup).modes[config.expand_permutations].stated
             stored = d["terms"]
-            if len(stored) != len(plan):
+            if len(stored) != len(stated):
                 raise ValueError(
-                    f"stored report field 'terms' lists {len(stored)} terms; the run measures {len(plan)}"
+                    f"stored report field 'terms' lists {len(stored)} terms; the run measures {len(stated)}"
                 )
-            terms = tuple(
-                TermEstimate(e.y_count, e.axes, e.coefficient, e.multiplicity, t["value"], t["error"], t["seed"])
-                for e, t in zip(plan, stored)
-            )
+            terms = tuple(TermEstimate(*e, t["value"], t["error"], t["seed"]) for e, t in zip(stated, stored))
             report = cls(
                 config=config,
                 terms=terms,
@@ -232,30 +229,6 @@ def _plan_weights(
     return tuple(checked_weights(outcome_probabilities(ghz.then(measurement_transform(a)), noise)) for a in axes)
 
 
-class _PlannedTerm(NamedTuple):
-    """One circuit a run measures: what its report term states, the label
-    its seed is derived with from the config seed (``seed_label``), its
-    weight in the polynomial, coefficient * multiplicity (a class estimate
-    serves all its copies), and the term's render frames (``_json_frame``,
-    ``_csv_head``), which hold everything a rendered term states but its
-    measurement and seed."""
-
-    axes: str
-    coefficient: int
-    multiplicity: int
-    y_count: int
-    label: bytes
-    weight: float
-    json_frame: tuple[str, str, str, str, str]
-    csv_head: str
-
-
-def _planned(axes: str, coefficient: int, multiplicity: int, *label: object) -> _PlannedTerm:
-    weight = float(coefficient) * multiplicity
-    term = _PlannedTerm(axes, coefficient, multiplicity, axes.count("Y"), seed_label(*label), weight, None, "")
-    return term._replace(json_frame=_json_frame(term), csv_head=_csv_head(term))
-
-
 def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float, float | None]:
     """Recompute the entry's LR bound by brute force and its QM value as the
     GHZ eigenvalue, and compare both with the stored ones.
@@ -283,26 +256,33 @@ def recheck_bounds(sc: SetupConfig) -> tuple[list[tuple[str, bool, str]], float,
 
 
 class _Mode(NamedTuple):
-    """One mode's term plan and what every run of it reads from the plan, in
-    plan order: the seed labels, the measured axes (the ``_plan_weights``
-    key), the polynomial weights, and what each report term states, as
-    ``TermEstimate``'s first four fields (Y count, axes, coefficient,
-    multiplicity)."""
+    """One mode's run plan: per circuit a run measures, in plan order, the
+    label its seed is derived with from the config seed (``seed_label``), its
+    axes (the ``_plan_weights`` key), its weight in the polynomial,
+    coefficient * multiplicity (a class estimate serves all its copies), what
+    its report term states, as ``TermEstimate``'s first four fields (Y count,
+    axes, coefficient, multiplicity), and that term's render frames
+    (``_json_frame``, ``_csv_head``), which hold everything a rendered term
+    states but its measurement and seed."""
 
-    plan: tuple[_PlannedTerm, ...]
     labels: tuple[bytes, ...]
     axes: tuple[str, ...]
     weights: tuple[float, ...]
     stated: tuple[tuple[int, str, int, int], ...]
+    json_frames: tuple[tuple[str, str, str, str, str], ...]
+    csv_heads: tuple[str, ...]
 
 
-def _mode(plan: tuple[_PlannedTerm, ...]) -> _Mode:
+def _mode(terms: Sequence[tuple[int, str, int]], labels: Sequence[bytes]) -> _Mode:
+    """The run plan of ``(coefficient, axes, multiplicity)`` terms with their seed labels."""
+    stated = tuple((s.count("Y"), s, c, m) for c, s, m in terms)
     return _Mode(
-        plan,
-        tuple(p.label for p in plan),
-        tuple(p.axes for p in plan),
-        tuple(p.weight for p in plan),
-        tuple((p.y_count, p.axes, p.coefficient, p.multiplicity) for p in plan),
+        tuple(labels),
+        tuple(s for _, s, _ in terms),
+        tuple(float(c) * m for c, _, m in terms),
+        stated,
+        tuple(_json_frame(*t) for t in stated),
+        tuple(_csv_head(*t) for t in stated),
     )
 
 
@@ -325,7 +305,7 @@ class _Cell(NamedTuple):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _checked_setup(n: int, setup: Setup) -> _Cell:
-    """The catalog entry of a cell with its term plans, render frames and
+    """The catalog entry of a cell with its two run plans (``_Mode``) and
     genuine n-party bound.  Bounds are rechecked when the entry is built; a
     failed recheck raises and is not memoised."""
     sc = setup_config(n, setup)
@@ -341,38 +321,25 @@ def _checked_setup(n: int, setup: Setup) -> _Cell:
         "published_reference": table,
         "qm_value": sc.qm_value,
     }
-    cell_label = (sc.setup.value, sc.n)
-    by_class = tuple(
-        _planned(
-            "X" * (n - cl.y_count) + "Y" * cl.y_count,
-            cl.coefficient,
-            cl.multiplicity,
-            *cell_label,
-            "class",
-            cl.y_count,
-        )
-        for cl in collapse(poly)
+    label, classes = (sc.setup.value, sc.n), collapse(poly)
+    modes = (
+        _mode(classes, [seed_label(*label, "class", s.count("Y")) for _, s, _ in classes]),
+        _mode([(c, s, 1) for c, s in poly.terms], [seed_label(*label, "term", s) for _, s in poly.terms]),
     )
-    every_term = tuple(_planned(s, c, 1, *cell_label, "term", s) for c, s in poly.terms)
     genuine = lr_bound_bruteforce(poly, n - 1)
     return _Cell(
         sc,
-        (_mode(by_class), _mode(every_term)),
+        modes,
         _dumps(cell)[2:-2],
         _md_published(table, lambda row: f"{row['result']:.2f} +/- {table['result_error']}"),
         genuine if genuine < sc.qm_value - CHECK_TOL else None,
     )
 
 
-def _plan(cfg: ExperimentConfig) -> tuple[_PlannedTerm, ...]:
-    """The term plan of a run: the circuits it measures, in order."""
-    return _checked_setup(cfg.qubits, cfg.setup).modes[cfg.expand_permutations].plan
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one full violation test.
 
-    The checked catalog entry (with each mode's term plan, seed labels,
+    The checked catalog entry (with each mode's run plan: seed labels,
     axes, polynomial weights and stated terms) and each circuit's checked
     multinomial weights are memoised per process, so a later run of the
     cell only derives seeds, draws shots, estimates the count matrix and
@@ -382,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     cell = _checked_setup(cfg.qubits, cfg.setup)
     sc = cell.config
-    _, labels, axes, weights, stated = cell.modes[cfg.expand_permutations]
+    labels, axes, weights, stated, _, _ = cell.modes[cfg.expand_permutations]
     # Each planned term's seed derives from the config seed and its label; its
     # shots are drawn from the memoised multinomial weights (the exact
     # distribution, checked once when it entered the memo), and the run's
@@ -423,16 +390,17 @@ def run_exchange_test(
 
 def _exchange_view(
     report: ExperimentReport,
-) -> tuple[tuple[_PlannedTerm, ...], tuple[TermEstimate, ...], float]:
+) -> tuple[tuple[tuple[str, ...], ...], tuple[TermEstimate, ...], float]:
     """The exchange test's view of an expanded ``mermin`` run: its single-Y
-    plan entries and terms (Y rightmost first) and the terms'
+    terms' JSON frames, the terms (Y rightmost first) and their
     ``exchange_spread``."""
     cfg = report.config
     if cfg.setup is not Setup.MERMIN or not cfg.expand_permutations:
         mode = "expanded" if cfg.expand_permutations else "class-mode"
         raise ValueError(f"an exchange report shows an expanded mermin run, not a {mode} {cfg.setup.value} run")
-    plan, terms = zip(*((p, t) for p, t in zip(_plan(cfg), report.terms) if p.y_count == 1))
-    return plan, terms, exchange_spread([t.value for t in terms])
+    every_frame = _checked_setup(cfg.qubits, cfg.setup).modes[True].json_frames
+    frames, terms = zip(*((f, t) for f, t in zip(every_frame, report.terms) if t.y_count == 1))
+    return frames, terms, exchange_spread([t.value for t in terms])
 
 
 # The stored report is the JSON that json.dumps(..., indent=2, sort_keys=True,
@@ -473,46 +441,47 @@ def _json(value: object, depth: int) -> str:
 
 # A term's render frames hold what it states but its measurement and seed.
 # Each builder below is the one template of its layout, and a catalog entry
-# calls it once per planned term: a report's terms are its plan's
-# (``ExperimentReport``), so every render reads the plan's frames.
+# calls it once per planned term, on the four fields the term states: a
+# report's terms are its plan's (``ExperimentReport``), so every render reads
+# the plan's frames.
 
 
-def _json_frame(term: _PlannedTerm) -> tuple[str, str, str, str, str]:
+def _json_frame(y_count: int, axes: str, coefficient: int, multiplicity: int) -> tuple[str, str, str, str, str]:
     """A stored term's text around its ``error``, ``error_rounded``,
     ``seed`` and ``value``."""
     j = _json
     return (
         f"""    {{
-      "axes": {j(term.axes, 3)},
+      "axes": {j(axes, 3)},
       "coefficient": [
-        {j(term.coefficient, 4)},
+        {j(coefficient, 4)},
         1
       ],
       "error": """,
         """,
       "error_rounded": """,
         f""",
-      "multiplicity": {j(term.multiplicity, 3)},
+      "multiplicity": {j(multiplicity, 3)},
       "seed": """,
         """,
       "value": """,
         f""",
-      "y_count": {j(term.y_count, 3)}
+      "y_count": {j(y_count, 3)}
     }}""",
     )
 
 
-def _csv_head(term: _PlannedTerm) -> str:
+def _csv_head(y_count: int, axes: str, coefficient: int, multiplicity: int) -> str:
     """A CSV term row up to its value."""
-    return f"term,{term.y_count},{term.axes},{term.coefficient},{term.multiplicity},"
+    return f"term,{y_count},{axes},{coefficient},{multiplicity},"
 
 
-def _md_head(terms: Sequence[_PlannedTerm], last: str) -> tuple[str, str]:
-    """A markdown table's column header and separator: one column per term
-    plus a ``last`` column."""
+def _md_head(axes: Sequence[str], last: str) -> tuple[str, str]:
+    """A markdown table's column header and separator: one column per
+    measured ``axes`` entry plus a ``last`` column."""
     return (
-        "| source | " + " | ".join(f"<{t.axes}>" for t in terms) + f" | {last} |",
-        "|" + "---|" * (len(terms) + 2),
+        "| source | " + " | ".join(f"<{a}>" for a in axes) + f" | {last} |",
+        "|" + "---|" * (len(axes) + 2),
     )
 
 
@@ -529,12 +498,11 @@ def _md_published(ref: dict | None, last: Callable[[dict], str]) -> tuple[str, .
     )
 
 
-def _terms_json(terms: Sequence[TermEstimate], plan: Sequence[_PlannedTerm]) -> str:
-    """The stored ``terms`` list, written into the frames of their ``plan``
-    entries."""
+def _terms_json(terms: Sequence[TermEstimate], frames: Sequence[tuple[str, ...]]) -> str:
+    """The stored ``terms`` list, written into their plan entries' JSON ``frames``."""
     return "[\n" + ",\n".join(
         f"{a}{t.error!r}{b}{round_error(t.error)!r}{c}{t.seed!r}{d}{t.value!r}{e}"
-        for t, (a, b, c, d, e) in zip(terms, (p.json_frame for p in plan))
+        for t, (a, b, c, d, e) in zip(terms, frames)
     ) + "\n  ]"
 
 
@@ -564,7 +532,7 @@ def _experiment_json(report: ExperimentReport) -> str:
     "value": {report.value!r}
   }},
   "schema_version": {j(SCHEMA_VERSION, 1)},
-  "terms": {_terms_json(report.terms, cell.modes[cfg.expand_permutations].plan)},
+  "terms": {_terms_json(report.terms, cell.modes[cfg.expand_permutations].json_frames)},
   "verdict": {j(report.verdict, 1)}
 }}
 """
@@ -580,7 +548,7 @@ _EXCHANGE_TABLE_TEXT = {n: _json(_exchange_table(n), 1) for n in QUBIT_COUNTS}
 
 def _exchange_json(report: ExperimentReport) -> str:
     """The stored exchange report, from the same leaves and sections."""
-    plan, terms, spread = _exchange_view(report)
+    frames, terms, spread = _exchange_view(report)
     cfg, noise, j = report.config, report.config.noise, _json
     return f"""{{
   "noise": {{
@@ -594,7 +562,7 @@ def _exchange_json(report: ExperimentReport) -> str:
   "seed": {cfg.seed!r},
   "shots": {cfg.shots!r},
   "spread": {j(spread, 1)},
-  "terms": {_terms_json(terms, plan)}
+  "terms": {_terms_json(terms, frames)}
 }}
 """
 
@@ -630,8 +598,10 @@ def _md_simulated(terms: Sequence[TermEstimate], last: str) -> str:
 
 def _csv_lines(report: ExperimentReport) -> list[str]:
     lines = ["row,y_count,axes,coefficient,multiplicity,value,error,error_rounded"]
-    for p, t in zip(_plan(report.config), report.terms):
-        lines.append(f"{p.csv_head}{t.value!r},{t.error!r},{round_error(t.error)!r}")
+    cfg = report.config
+    heads = _checked_setup(cfg.qubits, cfg.setup).modes[cfg.expand_permutations].csv_heads
+    for head, t in zip(heads, report.terms):
+        lines.append(f"{head}{t.value!r},{t.error!r},{round_error(t.error)!r}")
     lines.append(
         f"result,,,,,{report.value!r},{report.error!r},{round_error(report.error)!r}"
     )
@@ -647,7 +617,7 @@ def _md_lines(report: ExperimentReport) -> list[str]:
         "",
         _md_params(cfg) + f", expanded={expanded}",
         "",
-        *_md_head(cell.modes[expanded].plan, "result"),
+        *_md_head(cell.modes[expanded].axes, "result"),
         _md_simulated(report.terms, _fmt_pm(report.value, report.error)),
         *(() if expanded else cell.md_published),
         "",
@@ -674,14 +644,14 @@ def _exchange_csv_lines(report: ExperimentReport) -> list[str]:
 
 
 def _exchange_md_lines(report: ExperimentReport) -> list[str]:
-    plan, terms, spread = _exchange_view(report)
+    _, terms, spread = _exchange_view(report)
     cfg = report.config
     return [
         f"# Exchange test: {cfg.qubits} qubits",
         "",
         _md_params(cfg),
         "",
-        *_md_head(plan, "spread"),
+        *_md_head([t.axes for t in terms], "spread"),
         _md_simulated(terms, f"{spread:.4f}"),
         *_md_published(_exchange_table(cfg.qubits), lambda row: f"{row['spread']:.3f}"),
     ]
@@ -708,10 +678,9 @@ def verify_invariants() -> list[tuple[str, bool, str]]:
         state = ghz_state(n, sc.ghz_phase)
         closed_ok = True
         worst = 0.0
-        for cl in collapse(sc.polynomial):
-            axes = "X" * (n - cl.y_count) + "Y" * cl.y_count
+        for _, axes, _ in collapse(sc.polynomial):
             got = exact_expectation(state, axes)
-            want = math.cos(sc.ghz_phase - cl.y_count * math.pi / 2)
+            want = math.cos(sc.ghz_phase - axes.count("Y") * math.pi / 2)
             worst = max(worst, abs(got - want))
             closed_ok &= abs(got - want) <= CHECK_TOL
             probs = probabilities(run(ghz_circuit(n, sc.ghz_phase).then(measurement_transform(axes))))

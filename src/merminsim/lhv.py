@@ -22,10 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def lr_bound_formula(n: int) -> float:
-    """Closed-form LHV bound: 2**(n/2) for even n, 2**((n-1)/2) for odd n."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return float(2 ** (n // 2))
+    """Closed-form LHV bound: 2**(n/2) for even n, 2**((n-1)/2) for odd n.
+    ``n`` is read as an int >= 2 (``check_int``)."""
+    return float(2 ** (check_int("n", n, 2) // 2))
 
 
 def _partitions(qubits: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lhv import lr_bound_formula
 from .pauli import apply_pauli, check_axes
-from .statevector import MAX_QUBITS, Record, check_int, check_items, check_real, check_state
+from .statevector import Record, check_int, check_items, check_qubits, check_real, check_state
 
 # Absolute tolerance of every exact recheck: eigenvalue residuals, and stored
 # LR bounds and QM values against their recomputation.
@@ -54,20 +54,6 @@ class MerminPolynomial(Record):
         self._set(n, terms, lr_bound, qm_value)
 
 
-class SymmetryClass(Record):
-    """All terms sharing one Y count: per-term coefficient and how many.  The
-    Y count is read as an int >= 0, the coefficient as an int and the
-    multiplicity as an int >= 1; anything else raises ``ValueError``."""
-
-    __slots__ = ("y_count", "coefficient", "multiplicity")
-
-    def __init__(self, y_count: int, coefficient: int, multiplicity: int) -> None:
-        y_count = check_int("y_count", y_count, 0)
-        coefficient = check_int("coefficient", coefficient)
-        multiplicity = check_int("multiplicity", multiplicity, 1)
-        self._set(y_count, coefficient, multiplicity)
-
-
 def ghz_coherence(terms: tuple[Term, ...]) -> complex:
     """M[0,N], N = 2**n - 1: the entry coupling |0...0> to |1...1>.  As
     <0|X|1> = 1 and <0|Y|1> = -i, it is the sum of coefficient * (-i)**Y.
@@ -102,8 +88,7 @@ def _from_axes(n: int, by_axes: dict[str, int]) -> MerminPolynomial:
 def mermin_direct(n: int) -> MerminPolynomial:
     """Mermin's operator: every string with an odd number of Y factors, with
     coefficient (-1)**((Y-1)/2).  2**(n-1) terms; QM value |M[0,N]| = 2**(n-1)."""
-    if not 3 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
+    n = check_qubits(n, 3)
     by_axes: dict[str, int] = {}
     for y in range(1, n + 1, 2):
         coeff = (-1) ** ((y - 1) // 2)
@@ -127,8 +112,7 @@ def alsina_recursive(n: int) -> MerminPolynomial:
     (the conventional halving of the raw 5-qubit output is absorbed here).
     Quantum value |M[0,N]| (ghz_coherence): 2**(n-1), times sqrt(2) at even n.
     """
-    if not 3 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 3 <= n <= {MAX_QUBITS}, got {n}")
+    n = check_qubits(n, 3)
     terms: dict[str, int] = {"X": 1}
     for _ in range(n - 1):
         swapped = {"".join("Y" if a == "X" else "X" for a in ax): c for ax, c in terms.items()}
@@ -150,10 +134,12 @@ def primed(p: MerminPolynomial) -> MerminPolynomial:
     return MerminPolynomial(p.n, terms, p.lr_bound, p.qm_value)
 
 
-def collapse(p: MerminPolynomial) -> list[SymmetryClass]:
-    """Group terms by Y count.  On any permutation-symmetric state all terms
-    of a class share one expectation, so coefficient * multiplicity * one
-    representative reproduces the class's full contribution.
+def collapse(p: MerminPolynomial) -> list[tuple[int, str, int]]:
+    """One ``(coefficient, axes, multiplicity)`` triple per Y class, in Y
+    order: the class's shared coefficient, its representative ``X...XY...Y``
+    and its number of terms.  On any permutation-symmetric state all terms
+    of a class share one expectation, so coefficient * multiplicity * the
+    representative's expectation reproduces the class's full contribution.
 
     Raises ValueError if a class mixes different coefficients.
     """
@@ -165,7 +151,7 @@ def collapse(p: MerminPolynomial) -> list[SymmetryClass]:
         coeffs = set(groups[y])
         if len(coeffs) != 1:
             raise ValueError(f"mixed coefficients {sorted(coeffs)} within Y={y} class")
-        classes.append(SymmetryClass(y, coeffs.pop(), len(groups[y])))
+        classes.append((coeffs.pop(), "X" * (p.n - y) + "Y" * y, len(groups[y])))
     return classes
 
 

@@ -42,6 +42,15 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
     return int(value)
 
 
+def check_qubits(n: object, low: int, high: int = MAX_QUBITS) -> int:
+    """``n`` as a plain int qubit count in [low, high] (``check_int``);
+    anything else raises ``ValueError``."""
+    n = check_int("n", n)
+    if not low <= n <= high:
+        raise ValueError(f"need {low} <= n <= {high}, got {n}")
+    return n
+
+
 def check_real(name: str, value: object, minimum: float, maximum: float = math.inf) -> float:
     """``value`` as a plain float in [minimum, maximum]; bools, strings, nan,
     inf and ints past float range are rejected."""
@@ -159,8 +168,7 @@ class Gate(Record):
 
 def init_zero(n: int) -> np.ndarray:
     """The amplitudes of the all-zeros computational basis state |00...0>."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 1 <= n <= {MAX_QUBITS}, got {n}")
+    n = check_qubits(n, 1)
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[0] = 1.0
     return amp
@@ -168,8 +176,7 @@ def init_zero(n: int) -> np.ndarray:
 
 def ghz_state(n: int, phase: float) -> np.ndarray:
     """Amplitudes of GHZ state (|0...0> + e^{i*phase}|1...1>)/sqrt(2), built directly."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 2 <= n <= {MAX_QUBITS}, got {n}")
+    n = check_qubits(n, 2)
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[0] = _INV_SQRT2
     amp[-1] = _INV_SQRT2 * complex(math.cos(phase), math.sin(phase))

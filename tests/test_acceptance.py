@@ -149,7 +149,7 @@ def test_criterion_5_error_propagation(verdict):
     # three-qubit polynomial and displays as 0.02.
     published = {1: SimpleNamespace(value=0.847, error=0.007), 3: SimpleNamespace(value=-0.799, error=0.007)}
     _, error = polynomial_estimate_expanded(
-        [(float(cl.coefficient) * cl.multiplicity, published[cl.y_count]) for cl in collapse(mermin_direct(3))]
+        [(float(c) * m, published[s.count("Y")]) for c, s, m in collapse(mermin_direct(3))]
     )
     if abs(error - 0.007 * math.sqrt(10)) > 1e-15:
         problems.append(f"propagated error {error!r}")

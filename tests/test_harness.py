@@ -398,9 +398,11 @@ def test_every_leaf_set_to_a_string_is_refused():
 def test_report_rejects_unknown_schema_version():
     report = run_experiment(ExperimentConfig(qubits=3, setup="mermin"))
     payload = report.to_dict()
-    payload["schema_version"] = 99
-    with pytest.raises(ValueError):
-        ExperimentReport.from_dict(payload)
+    # A stored "1" is not the version 1; the refusal tells the two apart.
+    for version, shown in ((99, "99"), ("1", "'1'")):
+        payload["schema_version"] = version
+        with pytest.raises(ValueError, match=f"^unsupported schema_version {shown}$"):
+            ExperimentReport.from_dict(payload)
 
 
 def test_json_report_is_byte_identical_across_repeat_and_cold_runs():

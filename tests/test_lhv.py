@@ -114,8 +114,8 @@ def _estimator_lhv_max(n: int, setup: str, expanded: bool) -> float:
     """The LHV maximum of what a run estimates: its plan's terms, each
     weighted by coefficient * multiplicity, as one polynomial."""
     sc = setup_config(n, setup)
-    plan = _checked_setup(n, sc.setup).modes[expanded].plan
-    terms = tuple((p.coefficient * p.multiplicity, p.axes) for p in plan)
+    stated = _checked_setup(n, sc.setup).modes[expanded].stated
+    terms = tuple((c * m, s) for _, s, c, m in stated)
     return lr_bound_bruteforce(sc.polynomial._replace(terms=terms))
 
 

@@ -14,6 +14,7 @@ from merminsim import (
     NoiseModel,
     Setup,
     all_setup_configs,
+    collapse,
     ghz_circuit,
     measurement_transform,
     outcome_probabilities,
@@ -23,7 +24,7 @@ from merminsim import (
 from merminsim import harness
 from merminsim.harness import _checked_setup, _plan_weights
 from merminsim.reference import device_results
-from merminsim.sampling import checked_weights
+from merminsim.sampling import checked_weights, seed_label
 
 CELLS = [
     pytest.param(n, setup, expand, noise, id=f"{n}q-{setup.value}-{mode}-p{noise.p1}")
@@ -62,14 +63,21 @@ def test_checked_setup_entry_is_immutable_and_shared():
     entry = _checked_setup(4, Setup.AL)
     assert isinstance(entry, tuple) and entry.config.setup is Setup.AL
     assert all(isinstance(field, tuple) for field in (entry.modes, entry.md_published))
-    # Each mode holds its plan and, in plan order, its seed labels, axes,
-    # weights and what each report term states.
-    for mode in entry.modes:
-        assert all(isinstance(field, tuple) for field in mode)
-        assert mode.labels == tuple(p.label for p in mode.plan)
-        assert mode.axes == tuple(p.axes for p in mode.plan)
-        assert mode.weights == tuple(float(p.coefficient) * p.multiplicity for p in mode.plan)
-        assert mode.stated == tuple((p.y_count, p.axes, p.coefficient, p.multiplicity) for p in mode.plan)
+    # Each mode is its run plan, read off the polynomial: one circuit per Y
+    # class (collapse) in class mode, one per term in expanded mode.  In plan
+    # order it holds the seed labels, axes, weights c * m and what each
+    # report term states.
+    poly = entry.config.polynomial
+    plans = (
+        (collapse(poly), lambda s: ("class", s.count("Y"))),
+        ([(c, s, 1) for c, s in poly.terms], lambda s: ("term", s)),
+    )
+    for mode, (terms, key) in zip(entry.modes, plans):
+        assert all(isinstance(field, tuple) and len(field) == len(terms) for field in mode)
+        assert mode.labels == tuple(seed_label("al", 4, *key(s)) for _, s, _ in terms)
+        assert mode.axes == tuple(s for _, s, _ in terms)
+        assert mode.weights == tuple(float(c) * m for c, _, m in terms)
+        assert mode.stated == tuple((s.count("Y"), s, c, m) for c, s, m in terms)
     assert entry.text.startswith('  "ghz_phase": ')
     # Published rows are the class-mode table's, one per device.
     assert len(entry.md_published) == len(device_results(4, "al")["rows"])

@@ -40,11 +40,7 @@ def _measured_terms(config, expanded: bool) -> list[tuple[float, str]]:
     """(weight, axes) of every circuit one run measures, as in run_experiment."""
     if expanded:
         return [(float(c), s) for c, s in config.polynomial.terms]
-    n = config.n
-    return [
-        (float(cl.coefficient) * cl.multiplicity, "X" * (n - cl.y_count) + "Y" * cl.y_count)
-        for cl in collapse(config.polynomial)
-    ]
+    return [(float(c) * m, s) for c, s, m in collapse(config.polynomial)]
 
 
 def _parity_mean(probs: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from merminsim import (
     ExperimentConfig,
     ExperimentReport,
     MerminPolynomial,
-    SymmetryClass,
     alsina_recursive,
     collapse,
     eigencheck,
@@ -51,19 +50,19 @@ def test_recursive_equals_direct_for_three_qubits():
 def test_collapse_three_qubit_classes():
     classes = collapse(mermin_direct(3))
     assert classes == [
-        SymmetryClass(1, 1, 3),
-        SymmetryClass(3, -1, 1),
+        (1, "XXY", 3),
+        (-1, "YYY", 1),
     ]
 
 
 def test_collapse_four_qubit_recursive_classes():
     classes = collapse(alsina_recursive(4))
     assert classes == [
-        SymmetryClass(0, -1, 1),
-        SymmetryClass(1, 1, 4),
-        SymmetryClass(2, 1, 6),
-        SymmetryClass(3, -1, 4),
-        SymmetryClass(4, -1, 1),
+        (-1, "XXXX", 1),
+        (1, "XXXY", 4),
+        (1, "XXYY", 6),
+        (-1, "XYYY", 4),
+        (-1, "YYYY", 1),
     ]
     # 16 terms total, one per axis string.
     assert len(alsina_recursive(4).terms) == 16
@@ -71,15 +70,28 @@ def test_collapse_four_qubit_recursive_classes():
 
 def test_collapse_five_qubit_classes():
     assert collapse(mermin_direct(5)) == [
-        SymmetryClass(1, 1, 5),
-        SymmetryClass(3, -1, 10),
-        SymmetryClass(5, 1, 1),
+        (1, "XXXXY", 5),
+        (-1, "XXYYY", 10),
+        (1, "YYYYY", 1),
     ]
     assert collapse(alsina_recursive(5)) == [
-        SymmetryClass(0, -1, 1),
-        SymmetryClass(2, 1, 10),
-        SymmetryClass(4, -1, 5),
+        (-1, "XXXXX", 1),
+        (1, "XXXYY", 10),
+        (-1, "XYYYY", 5),
     ]
+
+
+@pytest.mark.parametrize("n", range(3, MAX_QUBITS + 1))
+def test_collapse_gives_one_representative_per_y_class_in_y_order(n):
+    for poly in (mermin_direct(n), alsina_recursive(n), primed(alsina_recursive(n))):
+        classes = collapse(poly)
+        ys = [s.count("Y") for _, s, _ in classes]
+        assert ys == sorted(set(ys))
+        assert [s for _, s, _ in classes] == ["X" * (n - y) + "Y" * y for y in ys]
+        assert sum(m for _, _, m in classes) == len(poly.terms)
+        # Each representative is a term of the polynomial, with its class's coefficient.
+        coefficient = {s: c for c, s in poly.terms}
+        assert [c for c, _, _ in classes] == [coefficient[s] for _, s, _ in classes]
 
 
 def test_primed_negates_coefficients_only():
@@ -145,14 +157,7 @@ def test_collapsed_and_expanded_sums_agree_on_symmetric_states():
             full = sum(
                 float(c) * exact_expectation(state, p) for c, p in poly.terms
             )
-            shortcut = sum(
-                float(cls.coefficient)
-                * cls.multiplicity
-                * exact_expectation(
-                    state, "X" * (n - cls.y_count) + "Y" * cls.y_count
-                )
-                for cls in collapse(poly)
-            )
+            shortcut = sum(float(c) * m * exact_expectation(state, s) for c, s, m in collapse(poly))
             np.testing.assert_allclose(shortcut, full, atol=1e-10)
             checked += 1
     assert checked >= 100

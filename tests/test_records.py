@@ -23,10 +23,13 @@ from merminsim import (
     MerminPolynomial,
     NoiseModel,
     SetupConfig,
-    SymmetryClass,
     TermEstimate,
+    alsina_recursive,
     collapse,
     ghz_circuit,
+    ghz_state,
+    init_zero,
+    lr_bound_formula,
     mermin_direct,
     run_experiment,
     setup_config,
@@ -44,7 +47,6 @@ RECORDS = [
     pytest.param(lambda: ghz_circuit(3), {"n": 2}, id="Circuit"),
     pytest.param(lambda: setup_config(4, "al"), {"ghz_phase": 0.0}, id="SetupConfig"),
     pytest.param(lambda: mermin_direct(3), {"n": 4}, id="MerminPolynomial"),
-    pytest.param(lambda: collapse(mermin_direct(3))[1], {"multiplicity": 0}, id="SymmetryClass"),
     pytest.param(lambda: NoiseModel(0.01, 0.02, 0.03), {"p1": 2.0}, id="NoiseModel"),
     pytest.param(lambda: ExperimentConfig(qubits=3, setup="mermin"), {"qubits": 6}, id="ExperimentConfig"),
     pytest.param(lambda: _report().terms[0], {"error": -1.0}, id="TermEstimate"),
@@ -137,12 +139,6 @@ def test_sequence_fields_are_stored_as_tuples(make, field):
         lambda: TermEstimate(1, "XXY", True, 1, 0.5, 0.1, 0),
         lambda: TermEstimate(1, "XXY", 1, 0, 0.5, 0.1, 0),
         lambda: TermEstimate(1, "XXY", 1, 1.0, 0.5, 0.1, 0),
-        lambda: SymmetryClass(["y"], 1, 1),
-        lambda: SymmetryClass(-1, 1, 1),
-        lambda: SymmetryClass(1, 1.0, 1),
-        lambda: SymmetryClass(1, Fraction(1), 1),
-        lambda: SymmetryClass(1, 1, 0),
-        lambda: SymmetryClass(1, 1, True),
         lambda: MerminPolynomial(3, [(Fraction(1), "XXY")], 2.0, 1.0),
         lambda: mermin_direct(3)._replace(n=3.0),
         lambda: mermin_direct(3)._replace(lr_bound="x"),
@@ -153,10 +149,8 @@ def test_sequence_fields_are_stored_as_tuples(make, field):
     ],
     ids=[
         "term-y-list", "term-y-negative", "term-axes-list", "term-coefficient-fraction", "term-coefficient-bool",
-        "term-multiplicity-0", "term-multiplicity-float", "class-y-list", "class-y-negative",
-        "class-coefficient-float", "class-coefficient-fraction", "class-multiplicity-0", "class-multiplicity-bool",
-        "polynomial-coefficient-fraction", "polynomial-n-float", "polynomial-lr-str", "polynomial-qm-none",
-        "polynomial-lr-nan", "polynomial-qm-inf", "polynomial-lr-negative",
+        "term-multiplicity-0", "term-multiplicity-float", "polynomial-coefficient-fraction", "polynomial-n-float",
+        "polynomial-lr-str", "polynomial-qm-none", "polynomial-lr-nan", "polynomial-qm-inf", "polynomial-lr-negative",
     ],
 )
 def test_term_and_class_fields_are_checked(build):
@@ -169,10 +163,10 @@ def test_term_and_class_fields_are_checked(build):
 
 def test_term_and_class_read_numpy_integers_as_plain_ints():
     term = TermEstimate(np.int64(1), "XXY", np.int64(-1), np.int64(3), 0.5, 0.1, 0)
-    cls = SymmetryClass(np.int64(1), np.int64(-1), np.int64(3))
+    # A class's coefficient and multiplicity come from a polynomial, which reads its coefficients as ints.
+    ((coefficient, _, multiplicity),) = collapse(MerminPolynomial(np.int64(3), [(np.int64(-1), "YYY")], 2.0, 1.0))
     assert term == TermEstimate(1, "XXY", -1, 3, 0.5, 0.1, 0)
-    assert cls == SymmetryClass(1, -1, 3)
-    fields = (term.y_count, term.coefficient, term.multiplicity, cls.y_count, cls.coefficient, cls.multiplicity)
+    fields = (term.y_count, term.coefficient, term.multiplicity, coefficient, multiplicity)
     assert {type(v) for v in fields} == {int}
 
 
@@ -198,6 +192,30 @@ def test_circuit_fields_are_checked(n, gates):
 def test_circuit_reads_a_numpy_n_as_a_plain_int():
     circuit = Circuit(np.int64(2), [Gate("H", (1,))])
     assert circuit == Circuit(2, (Gate("H", (1,)),)) and type(circuit.n) is int
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lr_bound_formula,
+        init_zero,
+        lambda n: ghz_state(n, 0.0),
+        ghz_circuit,
+        lambda n: setup_config(n, "mermin"),
+        mermin_direct,
+        alsina_recursive,
+    ],
+    ids=[
+        "lr_bound_formula", "init_zero", "ghz_state", "ghz_circuit", "setup_config", "mermin_direct",
+        "alsina_recursive",
+    ],
+)
+def test_qubit_counts_are_read_as_ints(build, n):
+    # lr_bound_formula(2.5) returned 2.0 and init_zero(True) a 1-qubit state;
+    # the rest raised TypeError.
+    with pytest.raises(ValueError):
+        build(n)
 
 
 @pytest.mark.parametrize(

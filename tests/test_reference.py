@@ -22,16 +22,13 @@ ALL_TABLES = [(3, "mermin"), (4, "mermin"), (4, "al"), (4, "al-mod"), (5, "mermi
 def test_published_rows_recombine_to_published_results(qubits, setup):
     table = device_results(qubits, setup)
     classes = collapse(setup_config(qubits, setup).polynomial)
-    assert [c.y_count for c in classes] == [col.count("Y") for col in table["columns"]]
+    assert [s.count("Y") for _, s, _ in classes] == [col.count("Y") for col in table["columns"]]
     for machine in MACHINES:
         row = table["rows"][machine]
-        combined = sum(
-            float(cl.coefficient) * cl.multiplicity * term
-            for cl, term in zip(classes, row["terms"])
-        )
+        combined = sum(float(c) * m * term for (c, _, m), term in zip(classes, row["terms"]))
         # Terms are displayed at 3 decimals and results at 2, so the
         # recombination can differ by at most the accumulated rounding.
-        budget = 0.0005 * sum(abs(float(c.coefficient)) * c.multiplicity for c in classes) + 0.005
+        budget = 0.0005 * sum(abs(float(c)) * m for c, _, m in classes) + 0.005
         assert abs(combined - row["result"]) <= budget + 1e-12, (machine, combined)
 
 
@@ -39,8 +36,8 @@ def test_published_rows_recombine_to_published_results(qubits, setup):
 def test_published_columns_are_the_class_plan_axes(config):
     # A class-mode markdown table sets the published rows under its plan's
     # columns, one per symmetry class.
-    plan = _checked_setup(config.n, config.setup).modes[False].plan
-    assert device_results(config.n, config.setup.value)["columns"] == [p.axes for p in plan]
+    axes = _checked_setup(config.n, config.setup).modes[False].axes
+    assert device_results(config.n, config.setup.value)["columns"] == list(axes)
 
 
 def test_three_qubit_table_is_shared_across_setups():

@@ -198,7 +198,7 @@ def _class_estimate(poly, estimates: dict[int, _Measured]) -> tuple[float, float
     """One estimate per symmetry class (keyed by its Y count), each weighted
     by coefficient * multiplicity, as a class-mode run combines them."""
     return polynomial_estimate_expanded(
-        [(float(cl.coefficient) * cl.multiplicity, estimates[cl.y_count]) for cl in collapse(poly)]
+        [(float(c) * m, estimates[s.count("Y")]) for c, s, m in collapse(poly)]
     )
 
 
@@ -228,8 +228,8 @@ def test_five_qubit_polynomial_estimate_published_row():
 
 
 def test_polynomial_estimate_identity_on_single_class():
-    cl = collapse(mermin_direct(3))[1]  # the Y=3 class, coefficient -1, multiplicity 1
-    value, error = polynomial_estimate_expanded([(float(cl.coefficient) * cl.multiplicity, _Measured(0.7, 0.01))])
+    c, _, m = collapse(mermin_direct(3))[1]  # the Y=3 class, coefficient -1, multiplicity 1
+    value, error = polynomial_estimate_expanded([(float(c) * m, _Measured(0.7, 0.01))])
     np.testing.assert_allclose(value, -0.7, atol=1e-15)
     np.testing.assert_allclose(error, 0.01, atol=1e-15)
 
