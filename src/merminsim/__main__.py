@@ -1,4 +1,5 @@
 from .cli import console_main
 
-# console_main freezes the heap after the command, so exit skips the GC scan.
-raise SystemExit(console_main())
+# console_main flushes the output and ends the process with os._exit, so exit
+# runs the atexit callbacks but skips module teardown.
+console_main()

@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid configuration or arguments or an unwritable
-output file, 2 internal invariant failure (a report-time consistency recheck
-did not hold).
+output (an ``--out`` file or stdout), 2 internal invariant failure (a
+report-time consistency recheck did not hold).
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .harness import (
     ExperimentConfig,
@@ -39,13 +41,14 @@ def _parse_noise(text: str) -> NoiseModel:
 def _emit(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
-        return 0
-    try:
+    else:
         Path(out).write_text(text)
-    except OSError as exc:
-        print(f"merminsim: cannot write the report: {exc}", file=sys.stderr)
-        return 1
     return 0
+
+
+def _unwritable(exc: OSError) -> int:
+    print(f"merminsim: cannot write the report: {exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -152,21 +155,33 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"merminsim: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the commands' only I/O is writing the report
+        return _unwritable(exc)
 
 
-def console_main() -> int:
+def console_main() -> NoReturn:
     """Process entry of ``python -m merminsim`` and the ``merminsim`` script.
 
-    It runs :func:`main` on ``sys.argv`` and then freezes the heap: the
-    process is about to end, and interpreter finalisation would otherwise run
-    full collections over the tens of thousands of long-lived objects that
-    numpy and the package leave behind.  :func:`main` itself never touches
-    the collector, so an in-process caller's heap stays collectable.
+    It runs :func:`main` on ``sys.argv``, then the ``atexit`` callbacks,
+    flushes stdout and stderr, and ends the process with ``os._exit``.  What
+    that skips is only module teardown: deallocating the objects that numpy
+    and the package leave behind, which took about as long as a command.  A
+    stdout that cannot be flushed after a successful command exits 1 with one
+    ``cannot write the report`` line; after a failed one the command's code
+    stands.  An exception that escapes :func:`main` ends the process the
+    usual way, with a traceback and exit 1.  :func:`main` is the in-process
+    API and does none of this.
     """
     code = main()
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            code = _unwritable(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(console_main())
+    console_main()

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, check_int
+from .statevector import MAX_QUBITS, check_int, check_qubits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .polynomials import MerminPolynomial
@@ -23,8 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def lr_bound_formula(n: int) -> float:
     """Closed-form LHV bound: 2**(n/2) for even n, 2**((n-1)/2) for odd n.
-    ``n`` is read as an int >= 2 (``check_int``)."""
-    return float(2 ** (check_int("n", n, 2) // 2))
+    ``n`` is read as an int in [2, MAX_QUBITS] (``check_qubits``)."""
+    return float(2 ** (check_qubits(n, 2) // 2))
 
 
 def _partitions(qubits: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:

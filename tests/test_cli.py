@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
@@ -104,11 +105,30 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's ``merminsim``."""
+def _python(*args: str, stdout: int = subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``merminsim``,
+    with ``env`` added to this process's environment."""
     src = str(Path(merminsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+def _run_entry(argv: list[str], setup: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m merminsim argv`` through runpy in a fresh interpreter,
+    after the statements in ``setup``; ``kwargs`` go to ``_python``."""
+    code = f"import runpy, sys\n{setup}\nsys.argv = {['merminsim', *argv]!r}\n"
+    return _python("-c", code + "runpy.run_module('merminsim', run_name='__main__', alter_sys=True)\n", **kwargs)
+
+
+@contextlib.contextmanager
+def _reader_gone():
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
 
 
 def test_audit_commands_never_import_numpy_random():
@@ -133,26 +153,31 @@ def test_audit_commands_never_import_numpy_random():
           "--shots", "2048"], 0),
         (["run", "--qubits", "3", "--setup", "mermin", "--seed", "3", "--format", "csv"], 0),
         (["run", "--qubits", "4", "--setup", "al", "--seed", "7", "--format", "md"], 0),
+        (["run", "--qubits", "5", "--setup", "al-mod", "--expand-permutations", "--out", "OUT"], 0),
         (["exchange-test", "--noise", "0.01,0.01,0.01", "--format", "md"], 0),
         (["bounds", "--qubits", "5", "--setup", "al"], 0),
         (["verify"], 0),
         (["run", "--qubits", "3", "--setup", "mermin", "--shots", "0"], 1),
     ],
-    ids=["run-json", "run-csv", "run-md", "exchange-md", "bounds", "verify", "shots-zero"],
+    ids=["run-json", "run-csv", "run-md", "run-out", "exchange-md", "bounds", "verify", "shots-zero"],
 )
-def test_process_entry_prints_what_main_prints(argv, exit_code, capsys):
-    # ``python -m merminsim`` goes through ``console_main``, which freezes the
-    # heap before exit; that must not move a byte or an exit code.
-    assert main(argv) == exit_code
+def test_process_entry_prints_what_main_prints(argv, exit_code, tmp_path, capsys):
+    # ``python -m merminsim`` goes through ``console_main``, which ends the
+    # process with os._exit once the output is flushed; that must not move a
+    # byte or an exit code, on stdout or in an --out file.
+    in_process, child = ([str(tmp_path / f) if a == "OUT" else a for a in argv] for f in ("main.out", "child.out"))
+    assert main(in_process) == exit_code
     captured = capsys.readouterr()
-    done = _python("-m", "merminsim", *argv)
+    done = _python("-m", "merminsim", *child)
     assert done.returncode == exit_code
     assert done.stdout == captured.out.encode()
     assert done.stderr.decode() == captured.err
+    if "OUT" in argv:
+        assert (tmp_path / "child.out").read_bytes() == (tmp_path / "main.out").read_bytes()
 
 
 def test_main_leaves_the_collector_alone(capsys):
-    # A library caller's heap stays collectable: only the process entry freezes.
+    # A library caller's heap stays collectable: main never touches the collector.
     frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     for argv in (["run", "--qubits", "3", "--setup", "mermin"], ["verify"], ["bogus-command"]):
         main(argv)
@@ -160,20 +185,52 @@ def test_main_leaves_the_collector_alone(capsys):
     capsys.readouterr()
 
 
-def test_process_entry_freezes_the_heap_before_exit():
-    # atexit handlers run after the entry returns and before finalisation's
-    # collections, so the probe sees what those collections would scan.
-    code = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
-        "sys.argv = ['merminsim', 'bounds', '--qubits', '3', '--setup', 'mermin']\n"
-        "runpy.run_module('merminsim', run_name='__main__', alter_sys=True)\n"
-    )
-    done = _python("-c", code)
+def test_process_entry_runs_atexit_handlers_once_after_the_output(capsys):
+    # The entry runs the atexit callbacks itself, then flushes and skips
+    # finalisation, so a handler's output must follow the whole report, once.
+    argv = ["bounds", "--qubits", "3", "--setup", "mermin"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    done = _run_entry(argv, "import atexit\natexit.register(print, 'atexit handler ran')")
     assert done.returncode == 0, done.stderr.decode()
-    assert b"verification: OK" in done.stdout
-    frozen = done.stderr.decode().split()
-    assert frozen[0] == "frozen" and int(frozen[1]) > 0
+    assert done.stdout.decode() == report + "atexit handler ran\n"
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["stdout-open", "stdout-closed"])
+def test_process_entry_exits_two_on_an_invariant_failure(closed):
+    # A brute force that disagrees with the stored LR bound fails the recheck.
+    # bounds has printed lines by then: if stdout is closed, flushing them
+    # fails too, and the invariant failure's code and line still stand alone.
+    setup = (
+        "from merminsim import harness, lhv\n"
+        "harness.lr_bound_bruteforce = lambda p, k=1: lhv.lr_bound_bruteforce(p, k) + (k == 1)"
+    )
+    argv = ["bounds", "--qubits", "3", "--setup", "mermin"]
+    with _reader_gone() if closed else contextlib.nullcontext(subprocess.PIPE) as stdout:
+        done = _run_entry(argv, setup, stdout=stdout, PYTHONUNBUFFERED="")
+    assert done.returncode == 2
+    err = done.stderr.decode()
+    assert len(err.splitlines()) == 1 and err.startswith("merminsim: internal invariant failure: 3q/mermin LR bound")
+    assert closed or done.stdout.decode().startswith("qubits: 3\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bounds", "--qubits", "4", "--setup", "al"],
+     ["run", "--qubits", "5", "--setup", "al-mod", "--expand-permutations"]],
+    ids=["verify", "bounds", "run-5q-expanded"],
+)
+def test_closed_stdout_exits_one_with_one_line(argv, unbuffered):
+    # A reader that has gone away used to cost a BrokenPipeError traceback.
+    # Buffered, the write fails when console_main flushes stdout; unbuffered,
+    # when the command writes.
+    with _reader_gone() as stdout:
+        done = _python("-m", "merminsim", *argv, stdout=stdout, PYTHONUNBUFFERED=unbuffered)
+    assert done.returncode == 1
+    err = done.stderr.decode()
+    assert len(err.splitlines()) == 1 and err.startswith("merminsim: cannot write the report: "), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

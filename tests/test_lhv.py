@@ -23,8 +23,11 @@ def test_formula_values(n, expected):
 
 
 def test_formula_rejects_single_qubit():
-    with pytest.raises(ValueError):
-        lr_bound_formula(1)
+    # And any count past MAX_QUBITS: 3000 raised OverflowError, as 2**1500
+    # does not fit a float.
+    for n in (1, 9, 3000):
+        with pytest.raises(ValueError):
+            lr_bound_formula(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
